@@ -8,11 +8,13 @@
 /// * wall r/s     — measured wall-clock rounds/s on THIS host (with the
 ///                  worker pool; on a single-core container the shards
 ///                  timeshare, so wall stays ~flat with S).
-/// * crit r/s     — critical-path rounds/s: coordinator-serial work (merge +
-///                  apply) plus the SLOWEST shard's route + aggregate time,
-///                  measured per shard under serial execution. This is the
-///                  per-round latency an S-worker deployment pays, and the
-///                  scaling-with-shard-workers figure on any host.
+/// * crit r/s     — critical-path rounds/s: coordinator-serial work (the
+///                  serial round's wall time minus every shard's own route
+///                  + aggregate time) plus the SLOWEST shard's route +
+///                  aggregate time, measured per shard under serial
+///                  execution. This is the per-round latency an S-worker
+///                  deployment pays, and the scaling-with-shard-workers
+///                  figure on any host.
 ///
 /// Steady-state sparse-container + wire-buffer allocations per round are
 /// reported via the counting hook (zero = the allocation-free wire path).
@@ -29,7 +31,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "shard/shard_plan.h"
-#include "shard/shard_server.h"
+#include "shard/transport.h"
 
 namespace fedrec {
 namespace {
@@ -59,31 +61,35 @@ struct ShardedMeasurement {
   double allocs_per_round = 0.0;
 };
 
-/// Runs the full sharded server step for at least `min_seconds`. When `pool`
-/// is null the shards execute serially, which keeps the per-shard timers
-/// clean of timesharing noise — that is the critical-path configuration.
+/// Runs the full sharded server step — one ServerRound over an in-process
+/// transport — for at least `min_seconds`. When `pool` is null the shards
+/// execute serially, which keeps the per-shard timers clean of timesharing
+/// noise — that is the critical-path configuration.
 ShardedMeasurement MeasureSharded(const std::vector<ClientUpdate>& updates,
                                   const ShardPlan& plan, std::size_t dim,
                                   const AggregatorOptions& options,
-                                  Matrix& items, float lr, ThreadPool* pool,
+                                  MfModel& model, float lr, ThreadPool* pool,
                                   double min_seconds) {
-  ShardServer server(plan, dim);
-  SparseRoundDelta merged;
+  InProcessShardTransport transport(plan, dim);
+  const ShardServer& server = transport.server();
+  ServerRound server_round;
+  FaultStats ledger;
+  std::uint64_t round = 0;
   const auto step = [&](double* crit_seconds) {
-    server.RouteRound(updates, pool);
-    server.AggregateRound(options, updates.size(), /*krum_source=*/0, pool)
-        .CheckOK();
-    server.MergeRoundDelta(merged).CheckOK();
-    Stopwatch apply_timer;
-    merged.AddTo(items, -lr);
+    Stopwatch round_timer;
+    server_round.Run(transport, updates, options, ShardRetryPolicy{}, round++,
+                     lr, model, pool, ledger);
+    const double round_seconds = round_timer.ElapsedSeconds();
     if (crit_seconds != nullptr) {
+      double shard_sum = 0.0;
       double slowest_shard = 0.0;
       for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-        slowest_shard = std::max(
-            slowest_shard, server.route_seconds(s) + server.aggregate_seconds(s));
+        const double shard_seconds =
+            server.route_seconds(s) + server.aggregate_seconds(s);
+        shard_sum += shard_seconds;
+        slowest_shard = std::max(slowest_shard, shard_seconds);
       }
-      *crit_seconds +=
-          slowest_shard + server.merge_seconds() + apply_timer.ElapsedSeconds();
+      *crit_seconds += round_seconds - shard_sum + slowest_shard;
     }
   };
   step(nullptr);  // warm the high-water buffers (and the page faults)
@@ -171,8 +177,10 @@ int Main(int argc, const char* const* argv) {
     for (std::size_t num_items : item_scales) {
       Rng rng(42);
       const auto updates = MakeUpdates(clients, rows, num_items, dim, rng);
-      Matrix items(num_items, dim);
-      items.FillGaussian(rng, 0.0f, 0.1f);
+      MfHyperParams params;
+      params.dim = dim;
+      MfModel model(num_items, params, rng);
+      Matrix& items = model.item_factors();
 
       // Single-server baseline: the PR 3/4 sparse path, serial.
       AggregationWorkspace workspace;
@@ -193,13 +201,13 @@ int Main(int argc, const char* const* argv) {
       for (std::size_t si = 0; si < shard_counts.size(); ++si) {
         const ShardPlan plan(num_items, shard_counts[si], policy);
         const ShardedMeasurement serial = MeasureSharded(
-            updates, plan, dim, agg, items, lr, nullptr, min_seconds);
+            updates, plan, dim, agg, model, lr, nullptr, min_seconds);
         crit_rows[si].push_back(FormatDouble(serial.crit_rps, 1));
         if (shard_counts[si] == 1) crit_s1 = serial.crit_rps;
         if (shard_counts[si] == 8) crit_s8 = serial.crit_rps;
         if (shard_counts[si] == 4) {
           const ShardedMeasurement pooled = MeasureSharded(
-              updates, plan, dim, agg, items, lr, pool.get(), min_seconds);
+              updates, plan, dim, agg, model, lr, pool.get(), min_seconds);
           wall_row.push_back(FormatDouble(pooled.wall_rps, 1));
           if (kind == AggregatorKind::kSum) {
             smoke_row.push_back(FormatDouble(pooled.wall_rps, 1));
@@ -224,11 +232,12 @@ int Main(int argc, const char* const* argv) {
   std::puts(
       "(single-server = sparse AggregateUpdates + sparse apply, serial. "
       "sharded = FRWU-route uploads to S shard inboxes, per-shard aggregate, "
-      "FRWD delta wire, sorted-union merge, apply. wall = this host with the "
-      "pool; crit-path = coordinator-serial merge+apply plus the slowest "
-      "shard's route+aggregate, i.e. the per-round latency of an S-worker "
-      "deployment. allocs = sparse-container + wire-buffer heap growths per "
-      "steady-state round; 0 = allocation-free wire path)");
+      "FRWD delta wire, sorted-union merge, apply, as one ServerRound. wall = "
+      "this host with the pool; crit-path = the serial round minus every "
+      "shard's route+aggregate, plus the slowest shard's, i.e. the per-round "
+      "latency of an S-worker deployment. allocs = sparse-container + "
+      "wire-buffer heap growths per steady-state round; 0 = allocation-free "
+      "wire path)");
   return 0;
 }
 

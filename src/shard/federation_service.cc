@@ -8,8 +8,7 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "fed/aggregator.h"
-#include "obs/trace.h"
+#include "obs/stats_bridge.h"
 #include "shard/shard_protocol.h"
 #include "shard/wire.h"
 
@@ -42,7 +41,7 @@ FederationService::FederationService(MfModel* model, ShardTransport* transport,
   for (ClientUpdate& update : updates_) {
     update.item_gradients.Reset(model_->dim());
   }
-  participants_.assign(options_.round_size, -1);
+  participants_.assign(options_.round_size, Participant{});
   // One-time metric registration (never on the upload or round paths).
   obs::Registry& registry = obs::Registry::Global();
   metrics_.rounds_completed = registry.GetGauge("fedrec_coord_rounds_completed");
@@ -51,9 +50,6 @@ FederationService::FederationService(MfModel* model, ShardTransport* transport,
   metrics_.rejected_uploads = registry.GetGauge("fedrec_coord_rejected_uploads");
   metrics_.connections_accepted =
       registry.GetGauge("fedrec_coord_connections_accepted");
-  metrics_.shard_outages = registry.GetGauge("fedrec_coord_shard_outages");
-  metrics_.shard_retries = registry.GetGauge("fedrec_coord_shard_retries");
-  metrics_.fallback_shards = registry.GetGauge("fedrec_coord_fallback_shards");
   metrics_.heartbeats_sent = registry.GetGauge("fedrec_coord_heartbeats_sent");
   metrics_.peers_reaped = registry.GetGauge("fedrec_coord_peers_reaped");
   metrics_.slow_reads_closed =
@@ -64,11 +60,6 @@ FederationService::FederationService(MfModel* model, ShardTransport* transport,
       registry.GetGauge("fedrec_coord_retry_afters_sent");
   metrics_.heartbeat_rtt_ms =
       registry.GetHistogram("fedrec_heartbeat_rtt_ms", "shard=\"coord\"");
-  metrics_.route = registry.GetHistogram("fedrec_stage_us", "stage=\"route\"");
-  metrics_.shard_aggregate =
-      registry.GetHistogram("fedrec_stage_us", "stage=\"shard_aggregate\"");
-  metrics_.merge = registry.GetHistogram("fedrec_stage_us", "stage=\"merge\"");
-  metrics_.apply = registry.GetHistogram("fedrec_stage_us", "stage=\"apply\"");
   int pipe_fds[2];
   FEDREC_CHECK_EQ(::pipe(pipe_fds), 0) << "self-pipe creation failed";
   wake_read_ = pipe_fds[0];
@@ -186,6 +177,7 @@ void FederationService::AcceptPending() {
     std::unique_ptr<Connection>& slot = conns_[static_cast<std::size_t>(fd)];
     if (slot == nullptr) slot = std::make_unique<Connection>();
     slot->fd = fd;
+    ++slot->generation;
     slot->reader.Reset();
     slot->reader.set_max_payload(options_.max_frame_payload);
     slot->out.Reset();
@@ -320,12 +312,6 @@ void FederationService::PublishStats() {
       static_cast<std::int64_t>(stats_.rejected_uploads));
   metrics_.connections_accepted->Set(
       static_cast<std::int64_t>(stats_.connections_accepted));
-  metrics_.shard_outages->Set(
-      static_cast<std::int64_t>(stats_.shard_outages));
-  metrics_.shard_retries->Set(
-      static_cast<std::int64_t>(stats_.shard_retries));
-  metrics_.fallback_shards->Set(
-      static_cast<std::int64_t>(stats_.fallback_shards));
   metrics_.heartbeats_sent->Set(
       static_cast<std::int64_t>(stats_.heartbeats_sent));
   metrics_.peers_reaped->Set(static_cast<std::int64_t>(stats_.peers_reaped));
@@ -336,6 +322,7 @@ void FederationService::PublishStats() {
   metrics_.shed_frames->Set(static_cast<std::int64_t>(stats_.shed_frames));
   metrics_.retry_afters_sent->Set(
       static_cast<std::int64_t>(stats_.retry_afters_sent));
+  obs::PublishFaultStats(stats_, "wire");
 }
 
 bool FederationService::HandleStatsRequest(Connection& conn) {
@@ -373,7 +360,7 @@ bool FederationService::HandleUpload(int fd, Connection& conn,
   slot.user = static_cast<std::uint32_t>(source.value());
   slot.loss = 0.0;
   slot.pair_count = 0;
-  participants_[pending_] = fd;
+  participants_[pending_] = Participant{fd, conn.generation};
   ++pending_;
   ++stats_.uploads_received;
   stats_.upload_bytes += payload.size();
@@ -382,70 +369,38 @@ bool FederationService::HandleUpload(int fd, Connection& conn,
 }
 
 void FederationService::RunRound() {
-  const std::span<const ClientUpdate> updates(updates_.data(),
-                                              options_.round_size);
-  ShardServer& server = transport_->server();
-  {
-    obs::ScopedSpan span("route", metrics_.route);
-    server.RouteRound(updates, /*pool=*/nullptr);
-  }
-  // Krum is a whole-round selection: decide here, broadcast the winner's
-  // round sequence number to the shards (mirrors ShardedRoundEngine).
-  std::uint64_t krum_source = 0;
-  if (options_.aggregator.kind == AggregatorKind::kKrum && !updates.empty()) {
-    krum_source = KrumSelect(updates, /*num_items=*/0, model_->dim(),
-                             options_.aggregator.krum_honest);
-  }
-  if (!transport_->fallible()) {
-    {
-      obs::ScopedSpan span("shard_aggregate", metrics_.shard_aggregate);
-      server
-          .AggregateRound(options_.aggregator, updates.size(), krum_source,
-                          /*pool=*/nullptr)
-          .CheckOK();
-    }
-    obs::ScopedSpan span("merge", metrics_.merge);
-    server.MergeRoundDelta(merged_).CheckOK();
-  } else {
-    {
-      obs::ScopedSpan span("shard_aggregate", metrics_.shard_aggregate);
-      const std::size_t num_shards = server.plan().num_shards();
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        const ShardRoundOutcome outcome = DeliverShardWithRetries(
-            *transport_, updates, s, options_.aggregator, updates.size(),
-            krum_source, round_, options_.retry);
-        stats_.shard_outages += outcome.outages;
-        stats_.shard_retries += outcome.retries;
-        if (outcome.fallback) ++stats_.fallback_shards;
-      }
-    }
-    obs::ScopedSpan span("merge", metrics_.merge);
-    server.MergeReceived(merged_).CheckOK();
-  }
-  {
-    obs::ScopedSpan span("apply", metrics_.apply);
-    model_->ApplySparseGradient(merged_, options_.learning_rate);
-  }
+  // The service keeps no virtual clock, so the returned backoff is unused.
+  server_round_.Run(
+      *transport_,
+      std::span<const ClientUpdate>(updates_.data(), options_.round_size),
+      options_.aggregator, options_.retry, round_, options_.learning_rate,
+      *model_, /*pool=*/nullptr, stats_);
   ++stats_.rounds_completed;
 
-  // Ack every contributed upload on its (still-open) connection. An fd
-  // recycled mid-round would mis-target the ack; bench clients hold their
-  // connection for the whole run, so the window is acceptable here.
+  // Ack every contributed upload on the connection that sent it. A sender
+  // that left mid-round is skipped, and so is a new peer the kernel handed
+  // the same fd number (its slot carries a newer generation).
   scratch_.Clear();
   scratch_.WriteU64(round_);
   ++round_;
-  for (std::size_t i = 0; i < options_.round_size; ++i) {
-    const int fd = participants_[i];
-    participants_[i] = -1;
-    if (fd < 0 || static_cast<std::size_t>(fd) >= conns_.size()) continue;
-    Connection* conn = conns_[static_cast<std::size_t>(fd)].get();
-    if (conn == nullptr || conn->fd != fd) continue;  // left mid-round
+  for (Participant& participant : participants_) {
+    const Participant sender = participant;
+    participant = Participant{};
+    if (sender.fd < 0 ||
+        static_cast<std::size_t>(sender.fd) >= conns_.size()) {
+      continue;
+    }
+    Connection* conn = conns_[static_cast<std::size_t>(sender.fd)].get();
+    if (conn == nullptr || conn->fd != sender.fd ||
+        conn->generation != sender.generation) {
+      continue;
+    }
     if (!ShedIfOverloaded(*conn)) {
       const std::array<std::string_view, 1> pieces = {
           std::string_view(scratch_.buffer())};
       conn->out.AppendFrame(FrameType::kRoundAck, pieces);
     }
-    if (!FlushConnection(*conn)) CloseConnection(fd);
+    if (!FlushConnection(*conn)) CloseConnection(sender.fd);
   }
   pending_ = 0;
   if (options_.max_rounds != 0 &&

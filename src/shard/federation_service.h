@@ -25,19 +25,20 @@
 /// federation. Real (or load-generated) clients connect over TCP and push
 /// kClientUpload frames, each carrying one FRWU upload; the service decodes
 /// them in place from reused connection buffers into recycled ClientUpdate
-/// slots, and when `round_size` uploads have landed it closes the round:
-/// route -> shard aggregation through the pluggable ShardTransport (the
-/// in-process server or fedrec_shardd processes over TCP) -> merge -> apply
-/// to the model -> one kRoundAck (carrying the round id) per contributed
-/// upload. Steady state — same round size, same-shaped uploads — touches the
-/// heap zero times on the upload fan-in and round paths.
+/// slots, and when `round_size` uploads have landed it closes the round with
+/// the same ServerRound the sharded round engine runs (route -> shard
+/// aggregation through the pluggable ShardTransport — the in-process server
+/// or fedrec_shardd processes over TCP -> merge -> apply to the model), then
+/// sends one kRoundAck (carrying the round id) per contributed upload.
+/// Steady state — same round size, same-shaped uploads — touches the heap
+/// zero times on the upload fan-in and round paths.
 ///
 /// The service is the high-concurrency half of the deployment story: a
 /// single epoll loop sustains thousands of concurrent client connections
 /// (bench_federation_service measures rounds/s and round-latency percentiles
 /// against it), while shard fan-out behind it reuses the engine's
-/// retry/fallback delivery (DeliverShardWithRetries), so a dead shardd
-/// degrades the round instead of wedging it.
+/// retry/fallback delivery loop, so a dead shardd degrades the round instead
+/// of wedging it.
 
 namespace fedrec {
 
@@ -71,15 +72,15 @@ class FederationService {
     int so_sndbuf = 0;
   };
 
-  struct Stats {
+  /// Serving counters. The inherited FaultStats is the shard-delivery
+  /// ledger ServerRound folds into (corrupt replies, outages, retries,
+  /// fallbacks), published as `fedrec_fault_*{scope="wire"}` at scrape time.
+  struct Stats : FaultStats {
     std::uint64_t rounds_completed = 0;
     std::uint64_t uploads_received = 0;
     std::uint64_t upload_bytes = 0;
     std::uint64_t rejected_uploads = 0;   ///< kError replies sent
     std::uint64_t connections_accepted = 0;
-    std::uint64_t shard_outages = 0;      ///< folded delivery outcomes
-    std::uint64_t shard_retries = 0;
-    std::uint64_t fallback_shards = 0;
     std::uint64_t heartbeats_sent = 0;    ///< idle probes emitted
     std::uint64_t peers_reaped = 0;       ///< half-open connections closed
     std::uint64_t slow_reads_closed = 0;  ///< partial-frame deadline closes
@@ -111,11 +112,21 @@ class FederationService {
  private:
   struct Connection {
     int fd = -1;
+    /// Bumped on every accept into this slot: an fd number the kernel
+    /// recycles to a new peer gets a new generation.
+    std::uint64_t generation = 0;
     FrameReader reader;
     SendQueue out;
     bool out_armed = false;      ///< EPOLLOUT currently in the epoll mask
     bool shed_notified = false;  ///< kRetryAfter sent for current breach
     PeerLiveness live;           ///< activity timestamps for the wheel
+  };
+
+  /// An upload's sender: its connection slot and the slot's generation at
+  /// upload time, so an ack never reaches a later peer on a recycled fd.
+  struct Participant {
+    int fd = -1;
+    std::uint64_t generation = 0;
   };
 
   void AcceptPending();
@@ -126,8 +137,8 @@ class FederationService {
   /// Returns false when the connection must be closed.
   bool HandleFrame(int fd, Connection& conn, const FrameView& frame);
   bool HandleUpload(int fd, Connection& conn, std::string_view payload);
-  /// Closes the pending round: route, aggregate via the transport, merge,
-  /// apply, ack every contributed upload.
+  /// Closes the pending round: one ServerRound over the transport, then an
+  /// ack for every contributed upload whose sender is still connected.
   void RunRound();
   /// True when `conn`'s send queue is at high water: the caller must not
   /// stage its frame. Sends one kRetryAfter per breach.
@@ -135,7 +146,8 @@ class FederationService {
   /// Serves a metrics scrape: mirrors Stats into the registry and replies
   /// with the full text exposition (never on the round path).
   bool HandleStatsRequest(Connection& conn);
-  /// Republishes the serving counters as `fedrec_coord_*` gauges.
+  /// Republishes the serving counters as `fedrec_coord_*` gauges and the
+  /// delivery ledger as `fedrec_fault_*{scope="wire"}`.
   void PublishStats();
   void SendError(Connection& conn, const Status& status);
   bool FlushConnection(Connection& conn);
@@ -162,10 +174,10 @@ class FederationService {
 
   std::vector<std::unique_ptr<Connection>> conns_;  ///< indexed by fd
   std::vector<ClientUpdate> updates_;   ///< round_size recycled slots
-  std::vector<int> participants_;       ///< fd that sent updates_[i]
+  std::vector<Participant> participants_;  ///< sender of updates_[i]
   std::size_t pending_ = 0;             ///< filled prefix of updates_
   std::uint64_t round_ = 0;
-  SparseRoundDelta merged_;
+  ServerRound server_round_;
   BinaryWriter scratch_;                ///< ack / error payload encode
   BinaryWriter shed_scratch_;           ///< kRetryAfter payload encode
   DeadlineWheel wheel_;                 ///< liveness deadlines keyed by fd
@@ -182,9 +194,6 @@ class FederationService {
     obs::Gauge* upload_bytes = nullptr;
     obs::Gauge* rejected_uploads = nullptr;
     obs::Gauge* connections_accepted = nullptr;
-    obs::Gauge* shard_outages = nullptr;
-    obs::Gauge* shard_retries = nullptr;
-    obs::Gauge* fallback_shards = nullptr;
     obs::Gauge* heartbeats_sent = nullptr;
     obs::Gauge* peers_reaped = nullptr;
     obs::Gauge* slow_reads_closed = nullptr;
@@ -192,12 +201,6 @@ class FederationService {
     obs::Gauge* shed_frames = nullptr;
     obs::Gauge* retry_afters_sent = nullptr;
     obs::Histogram* heartbeat_rtt_ms = nullptr;
-    // Server-side stage histograms — the same fedrec_stage_us series the
-    // round engines record, so bench and deployment share one vocabulary.
-    obs::Histogram* route = nullptr;
-    obs::Histogram* shard_aggregate = nullptr;
-    obs::Histogram* merge = nullptr;
-    obs::Histogram* apply = nullptr;
   };
   ServingMetrics metrics_;
 };

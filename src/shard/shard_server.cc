@@ -11,7 +11,8 @@ namespace fedrec {
 
 ShardServer::ShardServer(const ShardPlan& plan, std::size_t dim)
     : plan_(plan), dim_(dim), shards_(plan.num_shards()),
-      received_(plan.num_shards()), cursor_(plan.num_shards(), 0) {
+      received_(plan.num_shards()), received_bytes_(plan.num_shards(), 0),
+      cursor_(plan.num_shards(), 0) {
   FEDREC_CHECK_GT(dim, 0u);
 }
 
@@ -66,11 +67,6 @@ void ShardServer::RouteShard(std::span<const ClientUpdate> updates,
     }
   }
   shard.route_seconds = timer.ElapsedSeconds();
-}
-
-void ShardServer::RerouteShard(std::span<const ClientUpdate> updates,
-                               std::size_t s) {
-  RouteShard(updates, s);
 }
 
 Status ShardServer::DecodeInbox(ShardState& shard, std::size_t s,
@@ -150,31 +146,13 @@ void ShardServer::AggregateShard(ShardState& shard,
   // The winner touched no row of this shard: empty shard delta.
 }
 
-Status ShardServer::AggregateShardFromWire(std::size_t s,
-                                           std::string_view inbox_wire,
-                                           std::size_t expected_messages,
-                                           const AggregatorOptions& options,
-                                           std::size_t round_size,
-                                           std::uint64_t krum_source) {
-  ShardState& shard = shards_[s];
-  Stopwatch timer;
-  shard.status = DecodeInbox(shard, s, inbox_wire, expected_messages);
-  if (shard.status.ok()) {
-    AggregateShard(shard, options, round_size, krum_source);
-    shard.delta_wire.Clear();
-    EncodeDelta(shard.delta, shard.delta_wire);
-  }
-  shard.aggregate_seconds = timer.ElapsedSeconds();
-  return shard.status;
-}
-
 Status ShardServer::AggregateShardRound(std::size_t s,
                                         const AggregatorOptions& options,
                                         std::size_t round_size,
                                         std::uint64_t krum_source) {
-  ShardState& shard = shards_[s];
-  return AggregateShardFromWire(s, shard.inbox.buffer(), shard.message_count,
-                                options, round_size, krum_source);
+  const ShardState& shard = shards_[s];
+  return AggregateShardRoundWire(s, shard.inbox.buffer(), shard.message_count,
+                                 options, round_size, krum_source);
 }
 
 Status ShardServer::AggregateShardRoundWire(std::size_t s,
@@ -183,23 +161,16 @@ Status ShardServer::AggregateShardRoundWire(std::size_t s,
                                             const AggregatorOptions& options,
                                             std::size_t round_size,
                                             std::uint64_t krum_source) {
-  return AggregateShardFromWire(s, inbox_wire, expected_messages, options,
-                                round_size, krum_source);
-}
-
-Status ShardServer::AggregateRound(const AggregatorOptions& options,
-                                   std::size_t round_size,
-                                   std::uint64_t krum_source,
-                                   ThreadPool* pool) {
-  ParallelFor(pool, shards_.size(), [&](std::size_t s) {
-    // Status lands in the shard slot; the serial sweep below reports it.
-    (void)AggregateShardRound(s, options, round_size, krum_source);
-  });
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!shards_[s].status.ok()) return shards_[s].status;
-    stats_.delta_bytes += shards_[s].delta_wire.buffer().size();
+  ShardState& shard = shards_[s];
+  Stopwatch timer;
+  const Status status = DecodeInbox(shard, s, inbox_wire, expected_messages);
+  if (status.ok()) {
+    AggregateShard(shard, options, round_size, krum_source);
+    shard.delta_wire.Clear();
+    EncodeDelta(shard.delta, shard.delta_wire);
   }
-  return Status::OK();
+  shard.aggregate_seconds = timer.ElapsedSeconds();
+  return status;
 }
 
 Status ShardServer::DecodeShardDeltaWire(std::size_t s,
@@ -214,6 +185,7 @@ Status ShardServer::DecodeShardDeltaWire(std::size_t s,
     return Status::Corruption("shard " + std::to_string(s) +
                               ": delta dimension mismatch");
   }
+  received_bytes_[s] = frwd_wire.size();
   return Status::OK();
 }
 
@@ -221,16 +193,11 @@ Status ShardServer::DecodeShardDelta(std::size_t s) {
   return DecodeShardDeltaWire(s, shards_[s].delta_wire.buffer());
 }
 
-Status ShardServer::MergeRoundDelta(SparseRoundDelta& out) {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    FEDREC_RETURN_NOT_OK(DecodeShardDelta(s));
-  }
-  return MergeReceived(out);
-}
-
 Status ShardServer::MergeReceived(SparseRoundDelta& out) {
-  Stopwatch timer;
-  for (std::size_t s = 0; s < shards_.size(); ++s) cursor_[s] = 0;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    cursor_[s] = 0;
+    stats_.delta_bytes += received_bytes_[s];
+  }
   // Sorted-row union: shard row sets are disjoint, so the merge is a k-way
   // pick-the-smallest-head walk copying whole rows. Under kContiguousRange
   // the walk degenerates to concatenation in shard order.
@@ -256,7 +223,6 @@ Status ShardServer::MergeReceived(SparseRoundDelta& out) {
               out.AppendRowForOverwrite(min_row).begin());
     ++cursor_[min_shard];
   }
-  merge_seconds_ = timer.ElapsedSeconds();
   return Status::OK();
 }
 

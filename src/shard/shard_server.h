@@ -19,13 +19,18 @@
 /// S shard servers that each own a disjoint slice of the item rows (see
 /// ShardPlan). A round flows through three wire-delimited steps:
 ///
-///   RouteRound      — every upload's rows are split by owning shard and
-///                     encoded as FRWU messages into per-shard inboxes
-///   AggregateRound  — each shard decodes its inbox and aggregates ONLY its
-///                     routed rows (concurrently across shards), then
-///                     encodes its partial delta as an FRWD message
-///   MergeRoundDelta — the coordinator decodes the per-shard deltas and
-///                     merges them by sorted-row union
+///   RouteRound          — every upload's rows are split by owning shard and
+///                         encoded as FRWU messages into per-shard inboxes
+///   AggregateShardRound — each shard decodes its inbox and aggregates ONLY
+///                         its routed rows, then encodes its partial delta as
+///                         an FRWD message (AggregateShardRoundWire: the same
+///                         step over bytes a transport delivered)
+///   DecodeShardDelta    — the coordinator decodes each FRWD reply into a
+///     + MergeReceived     receive slot and merges the slots by sorted-row
+///                         union
+///
+/// ServerRound (shard/transport.h) drives these steps for every deployment:
+/// in process, over TCP to fedrec_shardd, with or without injected faults.
 ///
 /// Because every row is owned by exactly one shard and routing preserves
 /// update order, each row's contributor sequence on its shard is exactly the
@@ -74,42 +79,29 @@ class ShardServer {
   /// at Apply, and silent dropping would diverge from it.
   void RouteRound(std::span<const ClientUpdate> updates, ThreadPool* pool);
 
-  /// Decodes every shard's inbox and aggregates its routed rows,
-  /// concurrently across shards; each shard's partial delta is re-encoded as
-  /// an FRWD message for the merge step. `round_size` is the number of
-  /// uploads in the round (the output scale of Krum); `krum_source` is the
-  /// sequence number of the globally Krum-selected upload — its index into
-  /// the routed round (ignored for the per-row rules). Fails loudly, via
-  /// Status::Corruption, on any corrupt or misrouted message.
-  [[nodiscard]] Status AggregateRound(const AggregatorOptions& options,
-                        std::size_t round_size, std::uint64_t krum_source,
-                        ThreadPool* pool);
+  // -- Per-shard steps (the delivery loop; each is safe to call
+  //    concurrently for distinct shards) -----------------------------------
 
-  /// Decodes the per-shard FRWD messages and merges them into `out` by
-  /// sorted-row union (shard row sets are disjoint by construction; overlap
-  /// is reported as corruption). Equivalent to DecodeShardDelta for every
-  /// shard followed by MergeReceived.
-  [[nodiscard]] Status MergeRoundDelta(SparseRoundDelta& out);
+  /// Routes one shard's slice of the round into its inbox (RouteRound's
+  /// per-shard body). Byte-identical to what RouteRound produced for `s`, so
+  /// it is also the retry path's "resend": a failed delivery re-requests the
+  /// shard's routed rows from the pristine uploads.
+  void RouteShard(std::span<const ClientUpdate> updates, std::size_t s);
 
-  // -- Per-shard steps (the fault-tolerant coordinator's retry loop; each is
-  //    safe to call concurrently for distinct shards) ------------------------
-
-  /// Re-encodes shard `s`'s inbox from the pristine uploads — byte-identical
-  /// to what RouteRound produced for it. The retry path's "resend": a
-  /// corrupted delivery re-requests the shard's routed rows from scratch.
-  void RerouteShard(std::span<const ClientUpdate> updates, std::size_t s);
-
-  /// One shard's server-side step: decodes its inbox, aggregates its routed
-  /// rows, re-encodes its FRWD reply. Returns Corruption on a damaged,
-  /// duplicated, truncated or misrouted inbox. (Same step AggregateRound runs
-  /// for every shard.)
+  /// One shard's server-side step over its in-process inbox: decodes it,
+  /// aggregates its routed rows, re-encodes its FRWD reply. `round_size` is
+  /// the number of uploads in the round (the output scale of Krum);
+  /// `krum_source` is the sequence number of the globally Krum-selected
+  /// upload (ignored for the per-row rules). Returns Corruption on a
+  /// damaged, duplicated, truncated or misrouted inbox.
   [[nodiscard]] Status AggregateShardRound(std::size_t s,
                                            const AggregatorOptions& options,
                                            std::size_t round_size,
                                            std::uint64_t krum_source);
 
   /// Decodes shard `s`'s FRWD reply into the coordinator's receive slot
-  /// (validates framing, trailing bytes and dimension).
+  /// (validates framing, trailing bytes and dimension) and records its size
+  /// for the next MergeReceived to count.
   [[nodiscard]] Status DecodeShardDelta(std::size_t s);
 
   // -- Transport-delivered wire views (the socket deployment; bytes are
@@ -132,9 +124,11 @@ class ShardServer {
   [[nodiscard]] Status DecodeShardDeltaWire(std::size_t s,
                                             std::string_view frwd_wire);
 
-  /// Merges the decoded receive slots into `out` by sorted-row union. All
-  /// shards must have a successfully decoded slot (via DecodeShardDelta or
-  /// MergeRoundDelta's loop).
+  /// Merges the decoded receive slots into `out` by sorted-row union (shard
+  /// row sets are disjoint by construction; overlap is reported as
+  /// corruption) and adds the decoded FRWD bytes to stats().delta_bytes —
+  /// serially, after the concurrent per-shard decodes. All shards must have a
+  /// successfully decoded slot.
   [[nodiscard]] Status MergeReceived(SparseRoundDelta& out);
 
   /// Wire access for tests, custom transports and fault injection: the inbox
@@ -146,14 +140,14 @@ class ShardServer {
     return shards_[s].delta_wire.buffer();
   }
 
-  /// FRWU messages RouteRound/RerouteShard encoded into shard `s`'s inbox
+  /// FRWU messages RouteRound/RouteShard encoded into shard `s`'s inbox
   /// this round (a socket coordinator sends it ahead of the bytes so the
   /// shardd can detect boundary-truncated deliveries).
   std::size_t message_count(std::size_t s) const {
     return shards_[s].message_count;
   }
 
-  /// Shard `s`'s own decoded delta from the last AggregateRound (pre-wire).
+  /// Shard `s`'s own delta from its last AggregateShardRound (pre-wire).
   const SparseRoundDelta& shard_delta(std::size_t s) const {
     return shards_[s].delta;
   }
@@ -168,8 +162,6 @@ class ShardServer {
   double aggregate_seconds(std::size_t s) const {
     return shards_[s].aggregate_seconds;
   }
-  /// Wall seconds of the last MergeRoundDelta (coordinator-serial work).
-  double merge_seconds() const { return merge_seconds_; }
 
  private:
   struct ShardState {
@@ -182,14 +174,10 @@ class ShardServer {
     std::size_t message_count = 0;            ///< FRWU messages this round
     AggregationWorkspace aggregation;
     SparseRoundDelta delta;
-    Status status;                            ///< last round's outcome
     double route_seconds = 0.0;
     double aggregate_seconds = 0.0;
   };
 
-  /// Routes one shard's slice of the round into its inbox (RouteRound's
-  /// per-shard body; RerouteShard re-runs it for the retry path).
-  void RouteShard(std::span<const ClientUpdate> updates, std::size_t s);
   /// Decodes FRWU `wire` into shard `s`'s routed slots; validates
   /// dimensions, ownership, strictly-ascending sources (duplicate / replayed
   /// delivery) and — when `expected_messages` is nonzero — the message count
@@ -198,13 +186,6 @@ class ShardServer {
   [[nodiscard]] Status DecodeInbox(ShardState& shard, std::size_t s,
                                    std::string_view wire,
                                    std::size_t expected_messages);
-  /// Shared body of AggregateShardRound / AggregateShardRoundWire.
-  [[nodiscard]] Status AggregateShardFromWire(std::size_t s,
-                                              std::string_view inbox_wire,
-                                              std::size_t expected_messages,
-                                              const AggregatorOptions& options,
-                                              std::size_t round_size,
-                                              std::uint64_t krum_source);
   /// Aggregates shard `s`'s routed uploads into its delta.
   void AggregateShard(ShardState& shard, const AggregatorOptions& options,
                       std::size_t round_size, std::uint64_t krum_source);
@@ -214,9 +195,9 @@ class ShardServer {
   std::vector<ShardState> shards_;
   // Coordinator-side merge state (reused round over round).
   std::vector<SparseRoundDelta> received_;
+  std::vector<std::size_t> received_bytes_;  ///< FRWD size per slot
   std::vector<std::size_t> cursor_;
   ShardServerStats stats_;
-  double merge_seconds_ = 0.0;
 };
 
 }  // namespace fedrec

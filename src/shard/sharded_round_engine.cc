@@ -1,7 +1,5 @@
 #include "shard/sharded_round_engine.h"
 
-#include <algorithm>
-
 #include "obs/stats_bridge.h"
 #include "obs/trace.h"
 
@@ -53,17 +51,6 @@ void ShardedRoundEngine::InitStageMetrics() {
       registry.GetHistogram("fedrec_stage_us", "stage=\"observe\"");
   stage_.transit_faults =
       registry.GetHistogram("fedrec_stage_us", "stage=\"transit_faults\"");
-  stage_.route = registry.GetHistogram("fedrec_stage_us", "stage=\"route\"");
-  stage_.shard_aggregate =
-      registry.GetHistogram("fedrec_stage_us", "stage=\"shard_aggregate\"");
-  stage_.merge = registry.GetHistogram("fedrec_stage_us", "stage=\"merge\"");
-  stage_.apply = registry.GetHistogram("fedrec_stage_us", "stage=\"apply\"");
-  stage_.shard_retries =
-      registry.GetCounter("fedrec_shard_retries_total");
-  stage_.shard_outages =
-      registry.GetCounter("fedrec_shard_outages_total");
-  stage_.fallback_shards =
-      registry.GetCounter("fedrec_shard_fallbacks_total");
 }
 
 double ShardedRoundEngine::RunRound(const RoundObserver& observer) {
@@ -97,84 +84,21 @@ double ShardedRoundEngine::RunRound(const RoundObserver& observer) {
     return loss;
   }
 
-  // The surviving prefix (= all uploads when faults are inactive, leaving
-  // the historical path byte-identical).
-  const std::span<const ClientUpdate> updates(
-      engine_->workspace().updates.data(), engine_->live_uploads());
-  {
-    obs::ScopedSpan span("route", stage_.route);
-    server().RouteRound(updates, pool_);
-  }
-
-  // Krum is a whole-round selection: decide on the coordinator (which holds
-  // the full uploads before routing anyway) and broadcast the winner's
-  // round sequence number to the shards.
-  std::uint64_t krum_source = 0;
-  if (config_->aggregator.kind == AggregatorKind::kKrum && !updates.empty()) {
-    krum_source = KrumSelect(updates, /*num_items=*/0, model_->dim(),
-                             config_->aggregator.krum_honest);
-  }
   if (owned_transport_ != nullptr) {
     owned_transport_->set_fault_plan(faults ? engine_->fault_plan() : nullptr);
   }
-  if (!faults && !transport_->fallible()) {
-    // In-process wire corruption is a programming error, not an environmental
-    // failure: fail fast instead of threading Status through the round loop.
-    {
-      obs::ScopedSpan span("shard_aggregate", stage_.shard_aggregate);
-      server()
-          .AggregateRound(config_->aggregator, updates.size(), krum_source,
-                          pool_)
-          .CheckOK();
-    }
-    obs::ScopedSpan span("merge", stage_.merge);
-    server().MergeRoundDelta(merged_).CheckOK();
-  } else {
-    {
-      obs::ScopedSpan span("shard_aggregate", stage_.shard_aggregate);
-      AggregateDegraded(updates, krum_source);
-    }
-    obs::ScopedSpan span("merge", stage_.merge);
-    server().MergeReceived(merged_).CheckOK();
-  }
-
-  {
-    obs::ScopedSpan span("apply", stage_.apply);
-    model_->ApplySparseGradient(merged_, config_->model.learning_rate);
-  }
+  // The surviving prefix (= all uploads when faults are inactive).
+  const std::span<const ClientUpdate> updates(
+      engine_->workspace().updates.data(), engine_->live_uploads());
+  const ShardRetryPolicy policy{config_->max_shard_retries,
+                                config_->shard_retry_backoff_ticks};
+  engine_->AdvanceClock(server_round_.Run(
+      *transport_, updates, config_->aggregator, policy,
+      engine_->global_round(), config_->model.learning_rate, *model_, pool_,
+      wire_stats_));
   engine_->AdvanceRound();
   obs::PublishFaultStats(wire_stats_, "wire");
   return loss;
-}
-
-void ShardedRoundEngine::AggregateDegraded(
-    std::span<const ClientUpdate> updates, std::uint64_t krum_source) {
-  const std::uint64_t round = engine_->global_round();
-  const std::size_t num_shards = server().plan().num_shards();
-  const AggregatorOptions& options = config_->aggregator;
-  const std::size_t round_size = updates.size();
-  const ShardRetryPolicy policy{config_->max_shard_retries,
-                                config_->shard_retry_backoff_ticks};
-  outcome_scratch_.assign(num_shards, ShardRoundOutcome{});
-  ParallelFor(pool_, num_shards, [&](std::size_t s) {
-    outcome_scratch_[s] =
-        DeliverShardWithRetries(*transport_, updates, s, options, round_size,
-                                krum_source, round, policy);
-  });
-  // Serial fold: counters and the clock stay deterministic for any pool.
-  std::uint64_t max_backoff = 0;
-  for (const ShardRoundOutcome& outcome : outcome_scratch_) {
-    wire_stats_.corrupt_messages += outcome.corrupt;
-    wire_stats_.shard_outages += outcome.outages;
-    wire_stats_.shard_retries += outcome.retries;
-    if (outcome.fallback) ++wire_stats_.fallback_shards;
-    stage_.shard_outages->Increment(outcome.outages);
-    stage_.shard_retries->Increment(outcome.retries);
-    if (outcome.fallback) stage_.fallback_shards->Increment();
-    max_backoff = std::max(max_backoff, outcome.backoff_ticks);
-  }
-  // Shards retry concurrently; the round pays the slowest shard's backoff.
-  engine_->AdvanceClock(max_backoff);
 }
 
 }  // namespace fedrec

@@ -1,10 +1,7 @@
 #ifndef FEDREC_SHARD_SHARDED_ROUND_ENGINE_H_
 #define FEDREC_SHARD_SHARDED_ROUND_ENGINE_H_
 
-#include <cstdint>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "common/fault.h"
 #include "common/threadpool.h"
@@ -19,19 +16,20 @@
 /// Sharded federation round loop: the client-facing stages
 /// (Select/LocalTrain/Attack/Observe) run unchanged on the wrapped
 /// RoundEngine, and the server side — the stage a single box cannot scale to
-/// a catalogue-sized item matrix under heavy traffic — is replaced by the
-/// multi-shard path of ShardServer:
+/// a catalogue-sized item matrix under heavy traffic — is one ServerRound
+/// over the multi-shard path of ShardServer:
 ///
-///   Select -> LocalTrain -> Attack -> Observe
+///   Select -> LocalTrain -> Attack -> Observe -> TransitFaults
 ///     -> Route (FRWU wire) -> per-shard Aggregate -> FRWD wire -> Merge
 ///     -> Apply
 ///
 /// How the wire bytes travel is the ShardTransport seam: in-process buffer
 /// handoffs (the default) or TCP connections to fedrec_shardd processes
-/// (SocketShardTransport) — the loop here is identical for both, including
-/// the degraded protocol: a dead or refused connection surfaces as the same
-/// kIOError a plan-injected shard outage does, and flows through the same
-/// bounded-retry / coordinator-local-fallback path with the same ledger.
+/// (SocketShardTransport). The delivery loop is identical for both: a dead
+/// or refused connection surfaces as the same kIOError a plan-injected shard
+/// outage does, and flows through the same bounded-retry /
+/// coordinator-local-fallback path with the same ledger; an infallible
+/// transport simply never retries.
 ///
 /// Every upload of the round — the malicious ones produced by the Attack
 /// stage included — flows through the same routed wire path, so poisoned
@@ -70,24 +68,21 @@ class ShardedRoundEngine {
   /// benign BPR loss (same contract as RoundEngine::RunRound). `observer`
   /// may be null.
   ///
-  /// When the wrapped engine carries an enabled fault plan — or the
-  /// transport itself is fallible (sockets) — the server side runs the
-  /// degraded protocol: transit faults thin the uploads (quorum rules from
-  /// the engine apply), each shard's FRWU delivery and FRWD reply may fail
-  /// or be corrupted, and the coordinator retries a failed shard up to
-  /// config.max_shard_retries times (re-routing pristinely, deterministic
-  /// exponential backoff on the virtual clock) before aggregating that
-  /// shard's row range locally. Otherwise the historical wire path runs
-  /// unchanged.
+  /// When the wrapped engine carries an enabled fault plan, transit faults
+  /// thin the uploads (quorum rules from the engine apply) and the owned
+  /// in-process transport injects the plan's shard faults. A fallible
+  /// transport's failed shard is retried up to config.max_shard_retries
+  /// times (re-routing pristinely, deterministic exponential backoff on the
+  /// virtual clock) before the coordinator aggregates that shard's row range
+  /// locally.
   double RunRound(const RoundObserver& observer = {});
 
   const ShardServer& server() const { return transport_->server(); }
   ShardServer& server() { return transport_->server(); }
   ShardTransport& transport() { return *transport_; }
-  const SparseRoundDelta& merged_delta() const { return merged_; }
   const RoundEngine& engine() const { return *engine_; }
 
-  /// Wire/shard failure counters of the degraded protocol (corrupt messages,
+  /// Wire/shard failure counters of the delivery loop (corrupt messages,
   /// outages, retries, fallbacks). Transit-fault counters live on the
   /// wrapped engine's fault_stats(). Deterministic for a fixed (seed,
   /// fault seed) pair regardless of pool size; over a socket transport the
@@ -96,13 +91,7 @@ class ShardedRoundEngine {
   const FaultStats& wire_fault_stats() const { return wire_stats_; }
 
  private:
-  /// The degraded per-shard aggregate: route is already done; runs the
-  /// retry/fallback loop per shard and leaves every shard's decoded delta in
-  /// the coordinator's receive slots.
-  void AggregateDegraded(std::span<const ClientUpdate> updates,
-                         std::uint64_t krum_source);
-
-  /// Fetches the server-stage histograms from the global registry (shared
+  /// Fetches the client-stage histograms from the global registry (shared
   /// constructor tail).
   void InitStageMetrics();
 
@@ -112,11 +101,9 @@ class ShardedRoundEngine {
   ThreadPool* pool_;
   std::unique_ptr<InProcessShardTransport> owned_transport_;
   ShardTransport* transport_;
-  SparseRoundDelta merged_;
+  ServerRound server_round_;
   FaultStats wire_stats_;
-  std::vector<ShardRoundOutcome> outcome_scratch_;
-  // Stage histograms (fedrec_stage_us{stage=...}) plus the
-  // degraded-protocol counters; observe-only. The client-stage entries
+  // Client-stage histograms (fedrec_stage_us{stage=...}); observe-only. They
   // resolve to the same registry instances RoundEngine registers, so the
   // single-server and sharded paths share one per-stage series.
   struct StageMetrics {
@@ -125,13 +112,6 @@ class ShardedRoundEngine {
     obs::Histogram* attack = nullptr;
     obs::Histogram* observe = nullptr;
     obs::Histogram* transit_faults = nullptr;
-    obs::Histogram* route = nullptr;
-    obs::Histogram* shard_aggregate = nullptr;
-    obs::Histogram* merge = nullptr;
-    obs::Histogram* apply = nullptr;
-    obs::Counter* shard_retries = nullptr;
-    obs::Counter* shard_outages = nullptr;
-    obs::Counter* fallback_shards = nullptr;
   };
   StageMetrics stage_;
 };

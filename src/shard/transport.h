@@ -3,11 +3,15 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/status.h"
+#include "common/threadpool.h"
 #include "fed/client.h"
 #include "fed/config.h"
+#include "model/mf_model.h"
+#include "obs/metrics.h"
 #include "shard/shard_server.h"
 
 /// \file
@@ -25,7 +29,12 @@
 ///                pristinely re-routed bytes.
 /// Both are environmental for a fallible transport; for the in-process
 /// transport without an armed fault plan, any failure is a programming error
-/// and the caller fails fast instead of retrying.
+/// and the delivery loop fails fast instead of retrying.
+///
+/// ServerRound is the one server-side round over this seam. The sharded
+/// round engine and the socket federation service both call it, so every
+/// transport — infallible or not — runs the same route, Krum pick, delivery
+/// loop, merge and apply, and folds its failures into one FaultStats ledger.
 
 namespace fedrec {
 
@@ -106,16 +115,52 @@ struct ShardRoundOutcome {
   std::uint64_t backoff_ticks = 0;
 };
 
-/// The degraded delivery protocol for one shard: bounded retries (each a
-/// pristine re-route + exponential backoff on the virtual clock), then the
+/// The delivery protocol for one shard: bounded retries (each a pristine
+/// re-route + exponential backoff on the virtual clock), then the
 /// coordinator-local fallback — aggregate the shard's row range from the
 /// pristine uploads, no wire. On return the shard's receive slot is always
-/// decoded, so the round can merge whatever happened.
+/// decoded, so the round can merge whatever happened. An infallible transport
+/// aborts on its first failed attempt instead: its corruption is a bug.
 ShardRoundOutcome DeliverShardWithRetries(
     ShardTransport& transport, std::span<const ClientUpdate> updates,
     std::size_t s, const AggregatorOptions& options, std::size_t round_size,
     std::uint64_t krum_source, std::uint64_t round,
     const ShardRetryPolicy& policy);
+
+/// One server round over a ShardTransport: route the uploads into per-shard
+/// FRWU inboxes, pick the Krum winner once, deliver every shard through
+/// DeliverShardWithRetries (concurrently on `pool`), fold the per-shard
+/// outcomes into the caller's ledger, merge the decoded FRWD replies and
+/// apply the merged delta to the model. Owns the merged delta, the outcome
+/// scratch and the route/shard_aggregate/merge/apply stage histograms, all
+/// reused round over round.
+class ServerRound {
+ public:
+  ServerRound();
+
+  /// Runs one round of `updates` (`round` keys the fault draws). Returns the
+  /// slowest shard's retry backoff in virtual ticks: shards retry
+  /// concurrently, so the round pays the maximum, not the sum.
+  std::uint64_t Run(ShardTransport& transport,
+                    std::span<const ClientUpdate> updates,
+                    const AggregatorOptions& aggregator,
+                    const ShardRetryPolicy& policy, std::uint64_t round,
+                    float learning_rate, MfModel& model, ThreadPool* pool,
+                    FaultStats& ledger);
+
+  /// The merged delta the last Run applied.
+  const SparseRoundDelta& merged() const { return merged_; }
+
+ private:
+  SparseRoundDelta merged_;
+  std::vector<ShardRoundOutcome> outcomes_;
+  // fedrec_stage_us{stage=...}: the same series the single-server engine
+  // records, so every driver shares one per-stage vocabulary.
+  obs::Histogram* route_ = nullptr;
+  obs::Histogram* shard_aggregate_ = nullptr;
+  obs::Histogram* merge_ = nullptr;
+  obs::Histogram* apply_ = nullptr;
+};
 
 }  // namespace fedrec
 

@@ -1,6 +1,9 @@
 #include "shard/federation_service.h"
 
+#include <sys/socket.h>
+
 #include <array>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -9,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "common/logging.h"
 #include "common/matrix.h"
 #include "common/rng.h"
@@ -119,6 +123,33 @@ class TestClient {
     return false;
   }
 
+  /// Reads frames until the service closes the connection; returns how many
+  /// of them were of `type`.
+  std::size_t CountFramesUntilClose(FrameType type) {
+    std::size_t count = 0;
+    for (;;) {
+      FrameView view;
+      bool has_frame = false;
+      reader_.Next(view, has_frame).CheckOK();
+      if (has_frame) {
+        if (view.type == type) ++count;
+        continue;
+      }
+      char* tail = reader_.PrepareWrite(4096);
+      ReadOutcome outcome;
+      if (!ReadSome(fd_, tail, reader_.writable(), outcome).ok() ||
+          outcome.eof) {
+        return count;
+      }
+      FEDREC_CHECK(!outcome.would_block) << "service kept the connection";
+      reader_.CommitWrite(outcome.bytes);
+    }
+  }
+
+  /// Half-closes the connection: the service reads EOF after the bytes
+  /// already sent.
+  void ShutdownWrite() { FEDREC_CHECK_EQ(::shutdown(fd_, SHUT_WR), 0); }
+
   int fd() const { return fd_; }
 
  private:
@@ -135,12 +166,15 @@ class ServiceHarness {
       : ServiceHarness(model, num_shards,
                        MakeOptions(round_size, max_rounds)) {}
 
-  /// Full-options variant for the liveness/backpressure suites.
+  /// Full-options variant for the liveness/backpressure suites; a non-null
+  /// `shard_faults` arms the in-process transport's fault injection.
   ServiceHarness(MfModel* model, std::size_t num_shards,
-                 FederationService::Options options)
+                 FederationService::Options options,
+                 const FaultPlan* shard_faults = nullptr)
       : transport_(ShardPlan(kNumItems, num_shards,
                              ShardPolicy::kContiguousRange),
                    kDim) {
+    transport_.set_fault_plan(shard_faults);
     service_ =
         std::make_unique<FederationService>(model, &transport_, options);
     service_->Listen().CheckOK();
@@ -312,6 +346,75 @@ TEST(FederationServiceTest, WrongDimUploadIsRejected) {
   EXPECT_EQ(client.ExpectRoundAck(), 0u);
   harness.Join();
   EXPECT_EQ(harness.stats().rejected_uploads, 1u);
+}
+
+TEST(FederationServiceTest, CorruptShardRepliesFallBackBitIdentically) {
+  Rng service_init(9);
+  MfModel service_model(kNumItems, ModelParams(), service_init);
+  Rng reference_init(9);
+  MfModel reference_model(kNumItems, ModelParams(), reference_init);
+
+  // Every FRWD reply on every attempt is damaged: each shard exhausts its
+  // retries and the coordinator aggregates its rows locally.
+  FaultSpec spec;
+  spec.delta_corrupt_rate = 1.0;
+  spec.fault_seed = 4;
+  const FaultPlan faults(spec, /*run_seed=*/1);
+  const std::size_t shards = 2;
+  const std::size_t rounds = 3;
+  FederationService::Options options =
+      ServiceHarness::MakeOptions(/*round_size=*/1, rounds);
+  ServiceHarness harness(&service_model, shards, options, &faults);
+  TestClient client(harness.port());
+  const std::array<std::size_t, 4> rows = {1, 8, 16, 27};
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    const SparseRowMatrix gradients = MakeGradients(3, r, rows);
+    client.SendFrame(FrameType::kClientUpload,
+                     EncodeClientUpload(gradients, 3));
+    EXPECT_EQ(client.ExpectRoundAck(), r);
+
+    ClientUpdate update;
+    update.user = 3;
+    update.item_gradients = gradients;
+    ApplyReferenceRound(reference_model, std::span(&update, 1));
+  }
+  harness.Join();
+
+  EXPECT_TRUE(service_model.item_factors() ==
+              reference_model.item_factors());
+  EXPECT_EQ(harness.stats().fallback_shards, rounds * shards);
+  EXPECT_EQ(harness.stats().corrupt_messages,
+            rounds * shards * (options.retry.max_retries + 1));
+  EXPECT_EQ(harness.stats().shard_retries,
+            rounds * shards * options.retry.max_retries);
+  EXPECT_EQ(harness.stats().shard_outages, 0u);
+}
+
+TEST(FederationServiceTest, AckSkipsNewPeerOnRecycledFd) {
+  Rng init(15);
+  MfModel model(kNumItems, ModelParams(), init);
+  auto harness = std::make_unique<ServiceHarness>(
+      &model, /*num_shards=*/1, /*round_size=*/2, /*max_rounds=*/1);
+  const std::array<std::size_t, 1> rows = {3};
+  {
+    // A uploads and leaves before the round closes. Waiting for the
+    // service's close frees A's fd on both sides, so B's connect and the
+    // service's accept get A's fd numbers back (lowest free fd first).
+    TestClient a(harness->port());
+    a.SendFrame(FrameType::kClientUpload,
+                EncodeClientUpload(MakeGradients(1, 0, rows), 1));
+    a.ShutdownWrite();
+    EXPECT_TRUE(a.WaitForClose());
+  }
+  TestClient b(harness->port());
+  b.SendFrame(FrameType::kClientUpload,
+              EncodeClientUpload(MakeGradients(2, 0, rows), 2));
+  EXPECT_EQ(b.ExpectRoundAck(), 0u);
+  harness->Join();  // self-stopped at max_rounds after draining its acks
+  EXPECT_EQ(harness->stats().rounds_completed, 1u);
+  harness.reset();  // closes every connection
+  EXPECT_EQ(b.CountFramesUntilClose(FrameType::kRoundAck), 0u)
+      << "B received the ack of A's upload";
 }
 
 // --- S2 regression: byte-flip mid-stream ------------------------------------

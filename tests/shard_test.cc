@@ -83,27 +83,34 @@ TEST(ShardPlanTest, PolicyNamesRoundTrip) {
 
 // --- ShardServer bit-identity ----------------------------------------------
 
-/// Runs one full sharded round (route -> aggregate -> wire -> merge) and
-/// returns the merged delta.
+/// Runs one ServerRound (route -> aggregate -> wire -> merge -> apply) on
+/// `transport` against a throwaway model; returns the round's ledger.
+FaultStats RunServerRound(ShardTransport& transport,
+                          const std::vector<ClientUpdate>& updates,
+                          const AggregatorOptions& options, ThreadPool* pool,
+                          ServerRound& round) {
+  MfHyperParams params;
+  params.dim = transport.server().dim();
+  Rng rng(0);
+  MfModel model(transport.server().plan().num_items(), params, rng);
+  FaultStats ledger;
+  round.Run(transport, updates, options, ShardRetryPolicy{}, /*round=*/0,
+            /*learning_rate=*/0.01f, model, pool, ledger);
+  return ledger;
+}
+
+/// Runs one full sharded round over an in-process transport and returns the
+/// merged delta. Krum's winner is picked inside the round and broadcast as
+/// its round sequence number (= index).
 SparseRoundDelta ShardedAggregate(const ShardPlan& plan,
                                   const std::vector<ClientUpdate>& updates,
                                   std::size_t dim,
                                   const AggregatorOptions& options,
                                   ThreadPool* pool) {
-  ShardServer server(plan, dim);
-  server.RouteRound(updates, pool);
-  // Krum's winner is broadcast as its round sequence number (= index).
-  std::uint64_t krum_source = 0;
-  if (options.kind == AggregatorKind::kKrum && !updates.empty()) {
-    krum_source = KrumSelect(updates, 0, dim, options.krum_honest);
-  }
-  Status status =
-      server.AggregateRound(options, updates.size(), krum_source, pool);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  SparseRoundDelta merged;
-  status = server.MergeRoundDelta(merged);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  return merged;
+  InProcessShardTransport transport(plan, dim);
+  ServerRound round;
+  RunServerRound(transport, updates, options, pool, round);
+  return round.merged();
 }
 
 TEST(ShardServerTest, BitIdenticalToSingleServerForAllRulesAndShardCounts) {
@@ -200,13 +207,12 @@ TEST(ShardServerTest, ShardDeltasCoverOnlyOwnedRows) {
   const std::size_t dim = 4;
   const auto updates = RandomUpdates(9, num_items, dim, 8, 3);
   const ShardPlan plan(num_items, 4, ShardPolicy::kHashed);
-  ShardServer server(plan, dim);
-  server.RouteRound(updates, nullptr);
-  server.AggregateRound(AggregatorOptions{}, updates.size(), 0, nullptr)
-      .CheckOK();
+  InProcessShardTransport transport(plan, dim);
+  ServerRound round;
+  RunServerRound(transport, updates, AggregatorOptions{}, nullptr, round);
   std::set<std::size_t> seen;
   for (std::size_t s = 0; s < 4; ++s) {
-    for (std::size_t row : server.shard_delta(s).rows()) {
+    for (std::size_t row : transport.server().shard_delta(s).rows()) {
       EXPECT_EQ(plan.ShardOf(row), s);
       EXPECT_TRUE(seen.insert(row).second) << "row on two shards";
     }
@@ -216,16 +222,26 @@ TEST(ShardServerTest, ShardDeltasCoverOnlyOwnedRows) {
 TEST(ShardServerTest, WireStatsAccumulate) {
   const auto updates = RandomUpdates(6, 30, 4, 5, 4);
   const ShardPlan plan(30, 2, ShardPolicy::kContiguousRange);
-  ShardServer server(plan, 4);
-  server.RouteRound(updates, nullptr);
-  server.AggregateRound(AggregatorOptions{}, updates.size(), 0, nullptr)
-      .CheckOK();
-  SparseRoundDelta merged;
-  server.MergeRoundDelta(merged).CheckOK();
-  EXPECT_EQ(server.stats().rounds, 1u);
-  EXPECT_GT(server.stats().upload_messages, 0u);
-  EXPECT_GT(server.stats().upload_bytes, 0u);
-  EXPECT_GT(server.stats().delta_bytes, 0u);
+  // The armed round corrupts every FRWD reply, so every shard retries and
+  // falls back; its FRWD bytes must be counted all the same.
+  FaultSpec spec;
+  spec.delta_corrupt_rate = 1.0;
+  spec.fault_seed = 3;
+  const FaultPlan faults(spec, /*run_seed=*/1);
+  for (const FaultPlan* armed : {static_cast<const FaultPlan*>(nullptr),
+                                 &faults}) {
+    InProcessShardTransport transport(plan, 4);
+    transport.set_fault_plan(armed);
+    ServerRound round;
+    const FaultStats ledger = RunServerRound(
+        transport, updates, AggregatorOptions{}, nullptr, round);
+    const ShardServerStats& stats = transport.server().stats();
+    EXPECT_EQ(stats.rounds, 1u);
+    EXPECT_GT(stats.upload_messages, 0u);
+    EXPECT_GT(stats.upload_bytes, 0u);
+    EXPECT_GT(stats.delta_bytes, 0u) << (armed ? "armed" : "unarmed");
+    EXPECT_EQ(ledger.fallback_shards, armed != nullptr ? 2u : 0u);
+  }
 }
 
 TEST(ShardServerTest, MisroutedRowFailsLoudly) {
@@ -236,7 +252,7 @@ TEST(ShardServerTest, MisroutedRowFailsLoudly) {
   upload.RowMutable(30)[0] = 1.0f;
   EncodeUpload(upload, 1, server.inbox(0));
   const Status status =
-      server.AggregateRound(AggregatorOptions{}, 1, 0, nullptr);
+      server.AggregateShardRound(0, AggregatorOptions{}, 1, 0);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
 }
@@ -246,7 +262,7 @@ TEST(ShardServerTest, CorruptInboxFailsLoudly) {
   ShardServer server(plan, 3);
   server.inbox(1).WriteBytes("not a wire message", 18);
   const Status status =
-      server.AggregateRound(AggregatorOptions{}, 0, 0, nullptr);
+      server.AggregateShardRound(1, AggregatorOptions{}, 0, 0);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
 }
@@ -258,7 +274,7 @@ TEST(ShardServerTest, DimensionMismatchFailsLoudly) {
   upload.RowMutable(2)[0] = 1.0f;
   EncodeUpload(upload, 1, server.inbox(0));
   const Status status =
-      server.AggregateRound(AggregatorOptions{}, 1, 0, nullptr);
+      server.AggregateShardRound(0, AggregatorOptions{}, 1, 0);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
 }
@@ -445,10 +461,8 @@ TEST(ShardServerTest, DuplicateDeliveryFailsLoudly) {
   WireFault duplicate;
   duplicate.kind = WireFaultKind::kDuplicate;
   EXPECT_TRUE(ApplyWireFault(duplicate, server.inbox(0).mutable_buffer()));
-  AggregatorOptions options;
-  const Status status =
-      server.AggregateRound(options, updates.size(), /*krum_source=*/0,
-                            /*pool=*/nullptr);
+  const Status status = server.AggregateShardRound(
+      0, AggregatorOptions{}, updates.size(), /*krum_source=*/0);
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
 }
 
