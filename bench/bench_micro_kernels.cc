@@ -133,17 +133,37 @@ void BM_ScoreAllItems(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreAllItems)->Arg(1682)->Arg(3706);
 
+/// The screened top-K the attack and the evaluator run per user: K = 10 over
+/// a catalogue with 0, 2 or 100 sorted exclusions spread across it, into a
+/// reused output buffer. Reported per scanned item.
 void BM_TopK(benchmark::State& state) {
   const std::size_t items = static_cast<std::size_t>(state.range(0));
   const std::size_t k = static_cast<std::size_t>(state.range(1));
+  const std::size_t num_excluded = static_cast<std::size_t>(state.range(2));
   Rng rng(3);
   std::vector<float> scores(items);
   for (auto& s : scores) s = rng.NextFloat();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(TopKIndices(scores, k, nullptr));
+  std::vector<std::uint32_t> excluded;
+  for (std::size_t idx : rng.SampleWithoutReplacement(items, num_excluded)) {
+    excluded.push_back(static_cast<std::uint32_t>(idx));
   }
+  std::sort(excluded.begin(), excluded.end());
+  std::vector<std::uint32_t> top;
+  for (auto _ : state) {
+    TopKIndicesExcludingSortedInto(scores, k, excluded, top);
+    benchmark::DoNotOptimize(top.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(items));
 }
-BENCHMARK(BM_TopK)->Args({1682, 10})->Args({3706, 10});
+BENCHMARK(BM_TopK)
+    ->Args({1682, 10, 0})
+    ->Args({1682, 10, 2})
+    ->Args({1682, 10, 100})
+    ->Args({3706, 10, 0})
+    ->Args({3706, 10, 2})
+    ->Args({3706, 10, 100});
 
 void BM_ClientTrainRound(benchmark::State& state) {
   const std::size_t interactions = static_cast<std::size_t>(state.range(0));

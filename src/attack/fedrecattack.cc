@@ -36,136 +36,205 @@ void FedRecAttack::ApproximateUsers(const Matrix& item_factors,
   if (public_interactions_.empty()) return;  // xi = 0: nothing to learn from
   // Eq. (19): argmin_U L_rec(U, V; D') with V frozen. TrainBprEpoch mutates
   // only the user side when update_items is false, so a scratch copy of V
-  // guarantees const-correctness of the shared parameters.
-  Matrix v_scratch = item_factors;
+  // guarantees const-correctness of the shared parameters. The copy reuses
+  // the previous call's storage.
+  v_scratch_ = item_factors;
   BprTrainOptions options;
   options.learning_rate = config_.approx_lr;
   options.update_users = true;
   options.update_items = false;
   for (std::size_t e = 0; e < epochs; ++e) {
-    TrainBprEpoch(u_hat_, v_scratch, public_interactions_, public_positives_,
+    TrainBprEpoch(u_hat_, v_scratch_, public_interactions_, public_positives_,
                   options, rng_);
   }
 }
 
 Matrix FedRecAttack::ComputePoisonGradient(const Matrix& item_factors,
                                            ThreadPool* pool) {
+  Matrix gradient;
+  ComputePoisonGradientInto(item_factors, pool, gradient);
+  return gradient;
+}
+
+void FedRecAttack::ComputePoisonGradientInto(const Matrix& item_factors,
+                                             ThreadPool* pool,
+                                             Matrix& gradient) {
   const std::size_t num_items = item_factors.rows();
   const std::size_t dim = item_factors.cols();
   const std::size_t num_users = u_hat_.rows();
   FEDREC_CHECK_EQ(u_hat_.cols(), dim);
+  if (gradient.rows() != num_items || gradient.cols() != dim) {
+    gradient = Matrix(num_items, dim);
+  } else {
+    gradient.Fill(0.0f);
+  }
 
   // Ablation semantics: with no public knowledge at all the attacker cannot
   // rationally approximate U, so no poisoned gradient can be formed (the
   // paper's Table IX shows the attack collapsing to zero effect).
-  if (public_interactions_.empty()) return Matrix(num_items, dim);
+  if (public_interactions_.empty()) return;
 
   // Optional user subsampling turns Eq. (20) into a stochastic gradient.
-  std::vector<std::uint32_t> users;
+  step_users_.clear();
   double scale = static_cast<double>(config_.step_size);
   if (config_.users_per_step > 0 && config_.users_per_step < num_users) {
-    users.reserve(config_.users_per_step);
     for (std::size_t idx :
          rng_.SampleWithoutReplacement(num_users, config_.users_per_step)) {
-      users.push_back(static_cast<std::uint32_t>(idx));
+      step_users_.push_back(static_cast<std::uint32_t>(idx));
     }
     scale *= static_cast<double>(num_users) /
              static_cast<double>(config_.users_per_step);
   } else {
-    users.resize(num_users);
-    for (std::uint32_t u = 0; u < num_users; ++u) users[u] = u;
+    for (std::uint32_t u = 0; u < num_users; ++u) step_users_.push_back(u);
   }
+  const std::size_t num_step_users = step_users_.size();
 
-  // Parallel accumulation: one dense gradient accumulator per worker chunk,
-  // merged at the end (users only touch |targets|+1 rows each, but chunked
-  // dense accumulation avoids any locking).
+  // The sum is split into one contiguous chunk of users per pool thread,
+  // chunk c = [c*n/T, (c+1)*n/T). Each chunk is summed on its own and the
+  // chunk sums are added in chunk order, so the gradient's bits depend on T
+  // but never on scheduling.
   const std::size_t num_chunks =
-      pool != nullptr ? std::min<std::size_t>(pool->thread_count(),
-                                              std::max<std::size_t>(1, users.size()))
-                      : 1;
-  std::vector<Matrix> partial(num_chunks, Matrix(num_items, dim));
+      pool != nullptr
+          ? std::min<std::size_t>(pool->thread_count(),
+                                  std::max<std::size_t>(1, num_step_users))
+          : 1;
 
-  // Each chunk owns a contiguous range of the sampled users and scores them
-  // through the blocked batch-scoring kernel over a shared packed item
-  // matrix, gathering (possibly non-adjacent) u_hat rows into a small
-  // contiguous tile first. The scoring and scratch buffers are reused across
-  // the whole chunk — no per-user allocation.
-  std::vector<float> items_packed(kernels::PackedItemsSize(num_items, dim));
+  // Scratch is sized on first use (and on a shape change) and reused.
+  items_packed_.resize(kernels::PackedItemsSize(num_items, dim));
   kernels::PackItems(item_factors.Data().data(), num_items, dim,
-                     items_packed.data());
-  constexpr std::size_t kScoreTile = 8;
-  auto process_chunk = [&](std::size_t chunk) {
-    Matrix& grad = partial[chunk];
-    const std::size_t begin = chunk * users.size() / num_chunks;
-    const std::size_t end = (chunk + 1) * users.size() / num_chunks;
-    std::vector<float> gathered(kScoreTile * dim);
-    std::vector<float> scores(kScoreTile * num_items);
-    for (std::size_t tile_begin = begin; tile_begin < end;
-         tile_begin += kScoreTile) {
-      const std::size_t tile = std::min(kScoreTile, end - tile_begin);
-      for (std::size_t t = 0; t < tile; ++t) {
-        const auto src = u_hat_.Row(users[tile_begin + t]);
-        std::copy(src.begin(), src.end(), gathered.begin() + t * dim);
-      }
-      kernels::ScoreBlockPacked(gathered.data(), tile, items_packed.data(),
-                                num_items, dim, scores.data(), num_items);
-      for (std::size_t t = 0; t < tile; ++t) {
-        const std::uint32_t user = users[tile_begin + t];
-        const auto u_vec = u_hat_.Row(user);
-        const std::span<const float> user_scores(scores.data() + t * num_items,
-                                                 num_items);
-        const auto& public_items = public_positives_[user];
-        // V^rec'_i: top-K of V-''_i (items without a *public* interaction).
-        const std::vector<std::uint32_t> rec =
-            TopKIndicesExcludingSorted(user_scores, config_.rec_k, public_items);
-        // Boundary: the lowest-scored non-target item of the list (Eq. 15).
-        bool has_boundary = false;
-        std::uint32_t boundary_item = 0;
-        for (std::size_t r = rec.size(); r-- > 0;) {
-          if (!std::binary_search(sorted_targets_.begin(),
-                                  sorted_targets_.end(), rec[r])) {
-            boundary_item = rec[r];
-            has_boundary = true;
-            break;
-          }
-        }
-        if (!has_boundary) continue;  // every slot already a target: user done
-        const double boundary_score = user_scores[boundary_item];
-
-        for (std::uint32_t target : sorted_targets_) {
-          // Sum over v_t in V^tar with (u_i, v_t) not in D' (Eq. 15).
-          if (std::binary_search(public_items.begin(), public_items.end(),
-                                 target)) {
-            continue;
-          }
-          const double s =
-              boundary_score - static_cast<double>(user_scores[target]);
-          const float w = static_cast<float>(AttackGPrime(s));
-          if (w == 0.0f) continue;
-          // dL/dx_boundary = +g'(s), dL/dx_target = -g'(s); dx_ij/dv_j = u_i.
-          Axpy(w, u_vec, grad.Row(boundary_item));
-          Axpy(-w, u_vec, grad.Row(target));
-        }
-      }
+                     items_packed_.data());
+  boundary_.resize(num_step_users);
+  weights_.resize(num_step_users * sorted_targets_.size());
+  if (num_chunks > 1 &&
+      (chunk_sum_.rows() != num_items || chunk_sum_.cols() != dim)) {
+    chunk_sum_ = Matrix(num_items, dim);
+    row_touched_.assign(num_items, 0);
+    touched_rows_.resize(num_items);
+  }
+  // Score tiles of up to kScoreTile users never straddle a chunk boundary,
+  // so every user is scored by the same kernel call shape at every T.
+  tiles_.clear();
+  for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+    const std::size_t end = (chunk + 1) * num_step_users / num_chunks;
+    for (std::size_t begin = chunk * num_step_users / num_chunks; begin < end;
+         begin += kScoreTile) {
+      tiles_.emplace_back(begin, std::min(begin + kScoreTile, end));
     }
+  }
+
+  // Phase 1, parallel: one pool task per tile writes its users' boundary
+  // items and g'(s) weights. Fine-grained tasks let idle workers pick up a
+  // late worker's share.
+  auto score_tile = [this, num_items, dim](std::size_t tile) {
+    ScoreTile(tile, num_items, dim);
   };
-
-  // One chunk per pool thread with unit grain: each task is exactly one
-  // partial-accumulator chunk.
-  if (num_chunks == 1) {
-    process_chunk(0);
+  if (pool != nullptr) {
+    pool->ParallelFor(0, tiles_.size(), /*grain=*/1, score_tile);
   } else {
-    pool->ParallelFor(0, num_chunks, /*grain=*/1, process_chunk);
+    for (std::size_t tile = 0; tile < tiles_.size(); ++tile) score_tile(tile);
   }
 
-  Matrix gradient = std::move(partial[0]);
-  for (std::size_t c = 1; c < num_chunks; ++c) {
-    gradient.Add(partial[c]);
-  }
+  // Phase 2, serial: accumulate the weighted user rows chunk by chunk.
+  AccumulatePoisonGradient(num_chunks, gradient);
   if (scale != 1.0) {
     Scale(static_cast<float>(scale), gradient.Data());
   }
-  return gradient;
+}
+
+void FedRecAttack::ScoreTile(std::size_t tile, std::size_t num_items,
+                             std::size_t dim) {
+  // Per-thread scoring buffers: the gathered u_hat rows of one tile, their
+  // scores against the packed catalogue, and one user's top-K list.
+  static thread_local std::vector<float> gathered;
+  static thread_local std::vector<float> scores;
+  static thread_local std::vector<std::uint32_t> rec;
+  gathered.resize(kScoreTile * dim);
+  scores.resize(kScoreTile * num_items);
+
+  const auto [begin, end] = tiles_[tile];
+  for (std::size_t i = begin; i < end; ++i) {
+    const auto src = u_hat_.Row(step_users_[i]);
+    std::copy(src.begin(), src.end(), gathered.begin() + (i - begin) * dim);
+  }
+  kernels::ScoreBlockPacked(gathered.data(), end - begin, items_packed_.data(),
+                            num_items, dim, scores.data(), num_items);
+
+  const std::size_t num_targets = sorted_targets_.size();
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::span<const float> user_scores(
+        scores.data() + (i - begin) * num_items, num_items);
+    const auto& public_items = public_positives_[step_users_[i]];
+    // V^rec'_i: top-K of V-''_i (items without a *public* interaction).
+    TopKIndicesExcludingSortedInto(user_scores, config_.rec_k, public_items,
+                                   rec);
+    // Boundary: the lowest-scored non-target item of the list (Eq. 15).
+    boundary_[i] = kNoBoundary;
+    for (std::size_t r = rec.size(); r-- > 0;) {
+      if (!std::binary_search(sorted_targets_.begin(), sorted_targets_.end(),
+                              rec[r])) {
+        boundary_[i] = rec[r];
+        break;
+      }
+    }
+    if (boundary_[i] == kNoBoundary) continue;  // every slot already a target
+    const double boundary_score = user_scores[boundary_[i]];
+
+    float* weights = weights_.data() + i * num_targets;
+    for (std::size_t t = 0; t < num_targets; ++t) {
+      const std::uint32_t target = sorted_targets_[t];
+      weights[t] = 0.0f;
+      // Sum over v_t in V^tar with (u_i, v_t) not in D' (Eq. 15).
+      if (std::binary_search(public_items.begin(), public_items.end(),
+                             target)) {
+        continue;
+      }
+      const double s =
+          boundary_score - static_cast<double>(user_scores[target]);
+      weights[t] = static_cast<float>(AttackGPrime(s));
+    }
+  }
+}
+
+// fedrec:hot
+void FedRecAttack::AccumulatePoisonGradient(std::size_t num_chunks,
+                                            Matrix& gradient) {
+  const std::size_t num_step_users = step_users_.size();
+  const std::size_t num_targets = sorted_targets_.size();
+  for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+    // Chunk 0 sums straight into the zeroed gradient (0 + x == x). Later
+    // chunks sum into chunk_sum_, whose touched rows are then added to the
+    // gradient and zeroed again.
+    Matrix& sum = chunk == 0 ? gradient : chunk_sum_;
+    std::size_t num_touched = 0;
+    auto touch = [&](std::uint32_t row) {
+      if (chunk == 0 || row_touched_[row] != 0) return;
+      row_touched_[row] = 1;
+      touched_rows_[num_touched++] = row;
+    };
+    const std::size_t end = (chunk + 1) * num_step_users / num_chunks;
+    for (std::size_t i = chunk * num_step_users / num_chunks; i < end; ++i) {
+      const std::uint32_t boundary = boundary_[i];
+      if (boundary == kNoBoundary) continue;
+      const auto u_vec = u_hat_.Row(step_users_[i]);
+      const float* weights = weights_.data() + i * num_targets;
+      for (std::size_t t = 0; t < num_targets; ++t) {
+        const float w = weights[t];
+        if (w == 0.0f) continue;
+        const std::uint32_t target = sorted_targets_[t];
+        // dL/dx_boundary = +g'(s), dL/dx_target = -g'(s); dx_ij/dv_j = u_i.
+        Axpy(w, u_vec, sum.Row(boundary));
+        Axpy(-w, u_vec, sum.Row(target));
+        touch(boundary);
+        touch(target);
+      }
+    }
+    for (std::size_t r = 0; r < num_touched; ++r) {
+      const std::uint32_t row = touched_rows_[r];
+      Axpy(1.0f, chunk_sum_.Row(row), gradient.Row(row));
+      Fill(chunk_sum_.Row(row), 0.0f);
+      row_touched_[row] = 0;
+    }
+  }
 }
 
 std::vector<ClientUpdate> FedRecAttack::ProduceUpdates(
@@ -183,7 +252,7 @@ std::vector<ClientUpdate> FedRecAttack::ProduceUpdates(
   users_initialized_ = true;
 
   // Step 2: the round's poisoned gradient (Eq. 20).
-  last_gradient_ = ComputePoisonGradient(item_factors, context.pool);
+  ComputePoisonGradientInto(item_factors, context.pool, last_gradient_);
 
   // Steps 3-12: distribute across the selected malicious clients.
   std::vector<ClientUpdate> updates;

@@ -2,6 +2,7 @@
 #define FEDREC_ATTACK_FEDRECATTACK_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
@@ -74,10 +75,40 @@ class FedRecAttack : public MaliciousCoordinator {
   /// Refines U-hat on D' (Eq. 19); called internally, exposed for tests.
   void ApproximateUsers(const Matrix& item_factors, std::size_t epochs);
 
-  /// Computes zeta * dL_atk/dV at (U-hat, V) (Eq. 20); exposed for tests.
+  /// Computes zeta * dL_atk/dV at (U-hat, V) (Eq. 20) into `gradient`,
+  /// reshaped to V's shape, in two phases. Phase 1 scores the sampled users
+  /// on `pool`, one task per tile of users, and keeps each user's boundary
+  /// item and per-target g'(s) weight. Phase 2 then adds the weighted user
+  /// rows serially, chunk by chunk. Every chunk is one contiguous range of
+  /// users per pool thread, and the chunk sums are added in order, so the
+  /// bits depend on the pool's thread count but never on scheduling. Scratch
+  /// is kept across calls; a same-shaped call allocates no matrix.
+  void ComputePoisonGradientInto(const Matrix& item_factors, ThreadPool* pool,
+                                 Matrix& gradient);
+
+  /// Returning form of ComputePoisonGradientInto; exposed for tests.
   Matrix ComputePoisonGradient(const Matrix& item_factors, ThreadPool* pool);
 
+  /// The users the latest ComputePoisonGradientInto call summed over, in the
+  /// order the chunks split them (exposed for tests).
+  const std::vector<std::uint32_t>& last_step_users() const {
+    return step_users_;
+  }
+
  private:
+  /// Users scored per ScoreBlockPacked call in phase 1.
+  static constexpr std::size_t kScoreTile = 8;
+  /// boundary_ entry of a user whose whole top-K list is target items.
+  static constexpr std::uint32_t kNoBoundary = 0xFFFFFFFFu;
+
+  /// Phase 1 for tiles_[tile]: scores its users against the packed
+  /// catalogue, then writes their boundary_ items and weights_.
+  void ScoreTile(std::size_t tile, std::size_t num_items, std::size_t dim);
+
+  /// Phase 2: sums +-w * u_hat rows into `gradient` (zeroed on entry), chunk
+  /// by chunk in order.
+  void AccumulatePoisonGradient(std::size_t num_chunks, Matrix& gradient);
+
   FedRecAttackConfig config_;
   const PublicInteractions* public_view_;
   Rng rng_;
@@ -91,6 +122,24 @@ class FedRecAttack : public MaliciousCoordinator {
   std::vector<std::vector<std::uint32_t>> item_sets_;
   std::vector<bool> item_set_ready_;
   std::vector<std::uint32_t> sorted_targets_;
+
+  /// ApproximateUsers' copy of V.
+  Matrix v_scratch_;
+
+  // ComputePoisonGradientInto scratch, sized on first use and reused.
+  std::vector<std::uint32_t> step_users_;
+  std::vector<float> items_packed_;
+  /// [begin, end) ranges of step_users_ scored by one phase-1 task.
+  std::vector<std::pair<std::size_t, std::size_t>> tiles_;
+  /// Per step user: its boundary item, or kNoBoundary.
+  std::vector<std::uint32_t> boundary_;
+  /// Per step user x sorted target: g'(s), 0 when the pair adds nothing.
+  std::vector<float> weights_;
+  /// Sum of the current chunk (chunks after the first); all zero between
+  /// chunks, since its touched rows are zeroed again after each merge.
+  Matrix chunk_sum_;
+  std::vector<std::uint32_t> touched_rows_;
+  std::vector<std::uint8_t> row_touched_;
 };
 
 }  // namespace fedrec

@@ -86,8 +86,9 @@ MetricsResult Evaluator::EvaluateWithConfig(
   constexpr std::size_t kUserBlock = 8;
   const std::size_t num_blocks = (num_users + kUserBlock - 1) / kUserBlock;
   ParallelFor(pool, num_blocks, [&](std::size_t block) {
-    // Reusable per-thread scoring buffer — no per-user allocation.
+    // Reusable per-thread scoring and top-K buffers — no per-user allocation.
     static thread_local std::vector<float> scores_buffer;
+    static thread_local std::vector<std::uint32_t> rec;
     scores_buffer.resize(kUserBlock * num_items);
     const std::size_t user_begin = block * kUserBlock;
     const std::size_t user_end =
@@ -100,8 +101,7 @@ MetricsResult Evaluator::EvaluateWithConfig(
       const std::span<const float> scores(
           scores_buffer.data() + (u - user_begin) * num_items, num_items);
       const auto& interacted = train_->UserItems(u);
-      const std::vector<std::uint32_t> rec =
-          TopKIndicesExcludingSorted(scores, max_k, interacted);
+      TopKIndicesExcludingSortedInto(scores, max_k, interacted, rec);
 
       // Number of target items the user has not interacted with:
       // |Vtar ^ V-_i|.

@@ -2,7 +2,6 @@
 #define FEDREC_MODEL_TOPK_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -13,24 +12,30 @@
 
 namespace fedrec {
 
-/// Returns the indices of the `k` largest scores in descending score order,
-/// skipping indices for which `exclude` returns true. Ties break toward the
-/// smaller index so results are deterministic. Returns fewer than `k` entries
-/// when not enough candidates exist.
-std::vector<std::uint32_t> TopKIndices(
+/// Writes to `out` the indices of the `k` largest scores in descending score
+/// order, skipping every index listed in `sorted_excluded`. Ties break toward
+/// the smaller index, so the order is (score desc, index asc) and the result
+/// is deterministic. Fewer than `k` entries come back when not enough
+/// candidates exist. `out` is overwritten; its capacity is reused, so a caller
+/// that keeps one buffer allocates only on its first call.
+///
+/// `sorted_excluded` must be ascending; duplicates and indices past the end of
+/// `scores` are allowed and ignored. Every score must be finite (checked in
+/// debug builds): NaN has no place in a strict weak order.
+///
+/// One ascending scan: after the first `k` candidates fill a best-first
+/// array, an item enters only if its score is strictly above the current
+/// K-th score. An equal score therefore loses to the earlier index, and the
+/// exclusion list is consulted only for the few items that pass that screen.
+void TopKIndicesExcludingSortedInto(
     std::span<const float> scores, std::size_t k,
-    const std::function<bool(std::uint32_t)>& exclude);
+    std::span<const std::uint32_t> sorted_excluded,
+    std::vector<std::uint32_t>& out);
 
-/// TopKIndices with a sorted exclusion list instead of a predicate.
+/// Returning form of TopKIndicesExcludingSortedInto.
 std::vector<std::uint32_t> TopKIndicesExcludingSorted(
     std::span<const float> scores, std::size_t k,
     std::span<const std::uint32_t> sorted_excluded);
-
-/// Rank (0-based) of `target_index` among all indices not excluded, ordered by
-/// descending score with the same tie-break as TopKIndices. Returns the number
-/// of non-excluded items with strictly better (score, -index) ordering.
-std::size_t RankOfIndex(std::span<const float> scores, std::uint32_t target_index,
-                        std::span<const std::uint32_t> sorted_excluded);
 
 }  // namespace fedrec
 

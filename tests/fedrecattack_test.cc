@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include <gtest/gtest.h>
 
+#include "common/kernels.h"
 #include "common/math.h"
+#include "common/threadpool.h"
 #include "data/synthetic.h"
 #include "model/bpr.h"
 #include "model/topk.h"
@@ -280,22 +284,243 @@ TEST(FedRecAttackTest, UserSubsamplingScalesGradient) {
   EXPECT_GT(n_sub / n_full, 0.25f);
 }
 
-TEST(FedRecAttackTest, ParallelGradientMatchesSerial) {
-  AttackTestSetup setup = MakeSetup(0.4, 90);
-  FedRecAttack attack(MakeAttackConfig({5}), &setup.view,
-                      setup.data.num_users(), setup.fed.model.dim);
-  attack.ApproximateUsers(setup.model.item_factors(), 10);
-  ThreadPool pool(4);
-  const Matrix serial =
-      attack.ComputePoisonGradient(setup.model.item_factors(), nullptr);
-  const Matrix parallel =
-      attack.ComputePoisonGradient(setup.model.item_factors(), &pool);
-  ASSERT_EQ(serial.rows(), parallel.rows());
-  for (std::size_t j = 0; j < serial.rows(); ++j) {
-    for (std::size_t d = 0; d < serial.cols(); ++d) {
-      EXPECT_NEAR(serial.At(j, d), parallel.At(j, d), 1e-4)
-          << "row " << j << " dim " << d;
+/// The poison gradient summed the way the single-pass implementation did:
+/// one dense accumulator per chunk c = [c*n/T, (c+1)*n/T) of `users`, users
+/// scored in tiles of 8 from each chunk's first user, chunk sums added in
+/// chunk order, then the whole matrix scaled. Counts the users whose top-K
+/// list holds only targets in `no_boundary`.
+Matrix ReferenceChunkedGradient(const Matrix& u_hat, const Matrix& items,
+                                const PublicInteractions& view,
+                                const std::vector<std::uint32_t>& targets,
+                                std::size_t rec_k,
+                                const std::vector<std::uint32_t>& users,
+                                double scale, std::size_t num_chunks,
+                                std::size_t* no_boundary) {
+  std::vector<std::uint32_t> sorted_targets = targets;
+  std::sort(sorted_targets.begin(), sorted_targets.end());
+  const std::size_t num_items = items.rows();
+  const std::size_t dim = items.cols();
+  std::vector<float> packed(kernels::PackedItemsSize(num_items, dim));
+  kernels::PackItems(items.Data().data(), num_items, dim, packed.data());
+  std::vector<Matrix> partial(num_chunks, Matrix(num_items, dim));
+  *no_boundary = 0;
+  constexpr std::size_t kTile = 8;
+  for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+    Matrix& grad = partial[chunk];
+    const std::size_t begin = chunk * users.size() / num_chunks;
+    const std::size_t end = (chunk + 1) * users.size() / num_chunks;
+    std::vector<float> gathered(kTile * dim);
+    std::vector<float> scores(kTile * num_items);
+    for (std::size_t tile_begin = begin; tile_begin < end;
+         tile_begin += kTile) {
+      const std::size_t tile = std::min(kTile, end - tile_begin);
+      for (std::size_t t = 0; t < tile; ++t) {
+        const auto src = u_hat.Row(users[tile_begin + t]);
+        std::copy(src.begin(), src.end(), gathered.begin() + t * dim);
+      }
+      kernels::ScoreBlockPacked(gathered.data(), tile, packed.data(), num_items,
+                                dim, scores.data(), num_items);
+      for (std::size_t t = 0; t < tile; ++t) {
+        const std::uint32_t user = users[tile_begin + t];
+        const std::span<const float> user_scores(scores.data() + t * num_items,
+                                                 num_items);
+        const auto& public_items = view.UserItems(user);
+        const auto rec =
+            TopKIndicesExcludingSorted(user_scores, rec_k, public_items);
+        bool has_boundary = false;
+        std::uint32_t boundary_item = 0;
+        for (std::size_t r = rec.size(); r-- > 0;) {
+          if (!std::binary_search(sorted_targets.begin(), sorted_targets.end(),
+                                  rec[r])) {
+            boundary_item = rec[r];
+            has_boundary = true;
+            break;
+          }
+        }
+        if (!has_boundary) {
+          ++*no_boundary;
+          continue;
+        }
+        const double boundary_score = user_scores[boundary_item];
+        for (std::uint32_t target : sorted_targets) {
+          if (std::binary_search(public_items.begin(), public_items.end(),
+                                 target)) {
+            continue;
+          }
+          const double s =
+              boundary_score - static_cast<double>(user_scores[target]);
+          const float w = static_cast<float>(AttackGPrime(s));
+          if (w == 0.0f) continue;
+          Axpy(w, u_hat.Row(user), grad.Row(boundary_item));
+          Axpy(-w, u_hat.Row(user), grad.Row(target));
+        }
+      }
     }
+  }
+  Matrix gradient = std::move(partial[0]);
+  for (std::size_t c = 1; c < num_chunks; ++c) gradient.Add(partial[c]);
+  if (scale != 1.0) Scale(static_cast<float>(scale), gradient.Data());
+  return gradient;
+}
+
+/// True when `a` and `b` have the same shape and the same bits everywhere
+/// (so +0.0 and -0.0 differ). Reports the first differing element.
+::testing::AssertionResult BitIdentical(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    return ::testing::AssertionFailure()
+           << "shape " << a.rows() << "x" << a.cols() << " vs " << b.rows()
+           << "x" << b.cols();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a.Data()[i], &b.Data()[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "row " << i / a.cols() << " dim " << i % a.cols() << ": "
+             << a.Data()[i] << " vs " << b.Data()[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Pool sizes under test; 0 stands for no pool at all.
+constexpr std::size_t kPoolSizes[] = {0, 1, 2, 3, 4, 8};
+
+struct Pools {
+  Pools() {
+    for (std::size_t threads : kPoolSizes) {
+      if (threads > 0) owned.push_back(std::make_unique<ThreadPool>(threads));
+    }
+  }
+  ThreadPool* Get(std::size_t threads) const {
+    for (const auto& pool : owned) {
+      if (pool->thread_count() == threads) return pool.get();
+    }
+    return nullptr;
+  }
+  std::vector<std::unique_ptr<ThreadPool>> owned;
+};
+
+std::size_t ChunkCount(const ThreadPool* pool, std::size_t users) {
+  if (pool == nullptr) return 1;
+  return std::min<std::size_t>(pool->thread_count(),
+                               std::max<std::size_t>(1, users));
+}
+
+double StepScale(const FedRecAttackConfig& config, std::size_t num_users) {
+  double scale = static_cast<double>(config.step_size);
+  if (config.users_per_step > 0 && config.users_per_step < num_users) {
+    scale *= static_cast<double>(num_users) /
+             static_cast<double>(config.users_per_step);
+  }
+  return scale;
+}
+
+/// Runs one fresh attack at `config` on `pool` and checks its gradient
+/// against the chunked reference, bit for bit. Returns the reference's
+/// no-boundary user count.
+std::size_t ExpectMatchesReference(const AttackTestSetup& setup,
+                                   const FedRecAttackConfig& config,
+                                   const Matrix& items, ThreadPool* pool) {
+  FedRecAttack attack(config, &setup.view, setup.data.num_users(),
+                      setup.fed.model.dim);
+  attack.ApproximateUsers(setup.model.item_factors(), 10);
+  const Matrix got = attack.ComputePoisonGradient(items, pool);
+  const std::vector<std::uint32_t>& users = attack.last_step_users();
+  std::size_t no_boundary = 0;
+  const Matrix want = ReferenceChunkedGradient(
+      attack.approximated_users(), items, setup.view, config.target_items,
+      config.rec_k, users, StepScale(config, setup.data.num_users()),
+      ChunkCount(pool, users.size()), &no_boundary);
+  EXPECT_TRUE(BitIdentical(got, want))
+      << "threads=" << (pool == nullptr ? 0 : pool->thread_count())
+      << " users_per_step=" << config.users_per_step
+      << " targets=" << config.target_items.size()
+      << " rec_k=" << config.rec_k;
+  EXPECT_GT(got.CountNonZeroRows(), 0u);
+  return no_boundary;
+}
+
+TEST(FedRecAttackTest, GradientBitIdenticalToChunkedReference) {
+  const AttackTestSetup setup = MakeSetup(0.4, 90);
+  const Pools pools;
+  const std::vector<std::vector<std::uint32_t>> target_sets = {{5}, {2, 9}};
+  for (const auto& targets : target_sets) {
+    for (std::size_t users_per_step : {std::size_t{0},
+                                       setup.data.num_users() / 2}) {
+      for (std::size_t threads : kPoolSizes) {
+        FedRecAttackConfig config = MakeAttackConfig(targets);
+        config.users_per_step = users_per_step;
+        ExpectMatchesReference(setup, config, setup.model.item_factors(),
+                               pools.Get(threads));
+      }
+    }
+  }
+}
+
+TEST(FedRecAttackTest, GradientBitIdenticalWhenRecKCoversCatalogue) {
+  const AttackTestSetup setup = MakeSetup(0.4, 91);
+  const Pools pools;
+  FedRecAttackConfig config = MakeAttackConfig({2, 9});
+  config.rec_k = setup.data.num_items() + 3;
+  for (std::size_t threads : kPoolSizes) {
+    ExpectMatchesReference(setup, config, setup.model.item_factors(),
+                           pools.Get(threads));
+  }
+}
+
+TEST(FedRecAttackTest, GradientBitIdenticalWhenTopKIsAllTargets) {
+  // Point both target rows along the mean approximated user, far out, so
+  // that most users rank the two targets first: with rec_k = 2 their list
+  // has no boundary item and they add nothing.
+  const AttackTestSetup setup = MakeSetup(0.4, 92);
+  const Pools pools;
+  FedRecAttackConfig config = MakeAttackConfig({2, 9});
+  config.rec_k = 2;
+  FedRecAttack probe(config, &setup.view, setup.data.num_users(),
+                     setup.fed.model.dim);
+  probe.ApproximateUsers(setup.model.item_factors(), 10);
+  const Matrix& u_hat = probe.approximated_users();
+  std::vector<float> mean(u_hat.cols(), 0.0f);
+  for (std::size_t u = 0; u < u_hat.rows(); ++u) Axpy(1.0f, u_hat.Row(u), mean);
+  Matrix items = setup.model.item_factors();
+  for (std::uint32_t target : config.target_items) {
+    for (std::size_t d = 0; d < items.cols(); ++d) {
+      items.At(target, d) = 100.0f * mean[d];
+    }
+  }
+  for (std::size_t threads : kPoolSizes) {
+    const std::size_t no_boundary =
+        ExpectMatchesReference(setup, config, items, pools.Get(threads));
+    EXPECT_GT(no_boundary, 0u);
+    EXPECT_LT(no_boundary, setup.data.num_users());
+  }
+}
+
+TEST(FedRecAttackTest, SecondCallOnNewItemsEqualsFreshAttack) {
+  // Scratch kept from a first call (other V, other chunk count, a stale
+  // output matrix) must not leak into the next call.
+  const AttackTestSetup setup = MakeSetup(0.4, 93);
+  const Pools pools;
+  const FedRecAttackConfig config = MakeAttackConfig({2, 9});
+  const Matrix& first_items = setup.model.item_factors();
+  Matrix second_items = first_items;
+  Rng rng(94);
+  for (float& v : second_items.Data()) {
+    v += static_cast<float>(rng.NextGaussian(0.0, 0.05));
+  }
+
+  FedRecAttack reused(config, &setup.view, setup.data.num_users(),
+                      setup.fed.model.dim);
+  reused.ApproximateUsers(first_items, 10);
+  Matrix gradient = reused.ComputePoisonGradient(first_items, pools.Get(3));
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
+    ThreadPool* pool = pools.Get(threads);
+    reused.ComputePoisonGradientInto(second_items, pool, gradient);
+    FedRecAttack fresh(config, &setup.view, setup.data.num_users(),
+                       setup.fed.model.dim);
+    fresh.ApproximateUsers(first_items, 10);
+    EXPECT_TRUE(
+        BitIdentical(gradient, fresh.ComputePoisonGradient(second_items, pool)))
+        << "threads=" << threads;
   }
 }
 

@@ -291,7 +291,8 @@ TEST_P(TopKProperty, PrefixOfFullOrdering) {
   std::vector<float> scores(n);
   for (auto& s : scores) s = rng.NextFloat();
 
-  const auto top = TopKIndices(scores, static_cast<std::size_t>(k), nullptr);
+  const auto top = TopKIndicesExcludingSorted(
+      scores, static_cast<std::size_t>(k), std::span<const std::uint32_t>());
   EXPECT_EQ(top.size(), static_cast<std::size_t>(std::min(n, k)));
   // Descending and a true prefix: no excluded index may beat the last kept.
   for (std::size_t i = 1; i < top.size(); ++i) {
