@@ -158,21 +158,6 @@ void ApplyScale(const BenchOptions& options, ExperimentSpec& spec) {
 
 std::string Fmt4(double value) { return FormatDouble(value, 4); }
 
-double PercentileInPlace(std::span<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  if (q <= 0.0) q = 0.0;
-  if (q >= 100.0) q = 100.0;
-  // Nearest-rank: ceil(q/100 * n), clamped to [1, n], as a 0-based index.
-  const auto n = static_cast<double>(samples.size());
-  auto rank = static_cast<std::size_t>(q / 100.0 * n + 0.9999999);
-  if (rank < 1) rank = 1;
-  if (rank > samples.size()) rank = samples.size();
-  std::nth_element(samples.begin(),
-                   samples.begin() + static_cast<std::ptrdiff_t>(rank - 1),
-                   samples.end());
-  return samples[rank - 1];
-}
-
 void AddThroughputRow(TextTable& table,
                       const std::vector<ExperimentResult>& results) {
   std::vector<std::string> row{"rounds/s"};

@@ -2,7 +2,6 @@
 #define FEDREC_BENCH_BENCH_COMMON_H_
 
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -104,15 +103,9 @@ void ApplyScale(const BenchOptions& options, ExperimentSpec& spec);
 /// Formats a metric like the paper tables ("0.9400").
 std::string Fmt4(double value);
 
-/// Nearest-rank percentile (`q` in [0, 100]) of `samples`, partially sorting
-/// the buffer in place (std::nth_element — no copy, no allocation, so a
-/// load bench can take p50/p99 of a reused per-round sample buffer between
-/// rounds). Returns 0 for an empty span.
-double PercentileInPlace(std::span<double> samples, double q);
-
 /// Appends a "rounds/s" row (one cell per experiment, in order) so every
-/// table bench can surface its round throughput into the CSV export and the
-/// bench_smoke BENCH_*.json trajectory.
+/// table bench surfaces its round throughput in the printed table and the
+/// CSV export.
 void AddThroughputRow(TextTable& table,
                       const std::vector<ExperimentResult>& results);
 

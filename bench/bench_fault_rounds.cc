@@ -1,81 +1,33 @@
-/// Fault-tolerance cost model: federated training throughput and attack
-/// exposure under deterministic fault injection (common/fault.h).
+/// Fault-tolerance quality: FedRecAttack on ml-100k under deterministic
+/// client dropout (common/fault.h) in {0, 5, 20, 50}% with the
+/// degraded-aggregation quorum active. Reports ER@k / NDCG (does partial
+/// participation blunt the attack?), the fault ledger (dropped uploads,
+/// skipped rounds) and rounds/s. The shard-outage path is measured by the
+/// `faults_ml100k_s2` workload in benchmark/.
 ///
-/// Two sweeps:
-///
-/// * Dropout sweep — full FedRecAttack experiments on ml-100k with client
-///   dropout in {0, 5, 20, 50}% and the degraded-aggregation quorum active.
-///   Reports ER@k / NDCG (does partial participation blunt the attack?),
-///   the fault ledger (dropped uploads, skipped rounds) and rounds/s (what
-///   does tolerating the faults cost the server?).
-/// * Shard-outage sweep — the sharded server step (route -> per-shard
-///   aggregate -> merge) under per-attempt shard outage rates, exercising
-///   the bounded-retry + coordinator-fallback path. Recovered faults are
-///   bit-identical to the clean run by construction, so the interesting
-///   figures are wall rounds/s and the retry/fallback counters.
-///
-///   ./bench_fault_rounds [--quick] [--shards=4] [--csv=path]
+///   ./bench_fault_rounds [--quick] [--csv=path]
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/stopwatch.h"
-#include "common/string_util.h"
-#include "data/synthetic.h"
-#include "shard/shard_plan.h"
-#include "shard/sharded_round_engine.h"
 
 namespace fedrec {
 namespace {
-
-struct OutageMeasurement {
-  double wall_rps = 0.0;
-  FaultStats wire;
-};
-
-/// Runs `epochs` epochs of the sharded degraded protocol and reports wall
-/// throughput plus the wire-failure ledger. Each call builds a fresh
-/// simulation so every outage rate replays the identical trajectory.
-OutageMeasurement MeasureOutages(const Dataset& data, FedConfig config,
-                                 double outage_rate, std::size_t shards,
-                                 ThreadPool* pool) {
-  config.faults.shard_outage_rate = outage_rate;
-  config.faults.fault_seed = 97;
-  const ShardPlan plan(data.num_items(), shards, ShardPolicy::kContiguousRange);
-  Simulation sim(data, config, /*num_malicious=*/0, nullptr, pool);
-  ShardedRoundEngine sharded(&sim.engine(), &sim.model(), &config, plan, pool);
-
-  std::size_t rounds = 0;
-  Stopwatch timer;
-  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    sharded.BeginEpoch(epoch);
-    while (sharded.HasNextRound()) {
-      sharded.RunRound();
-      ++rounds;
-    }
-  }
-  OutageMeasurement result;
-  result.wall_rps = static_cast<double>(rounds) / timer.ElapsedSeconds();
-  result.wire = sharded.wire_fault_stats();
-  return result;
-}
 
 int Main(int argc, const char* const* argv) {
   FlagParser flags;
   flags.Parse(argc, argv).CheckOK();
   BenchOptions options = ParseBenchOptions(flags);
   auto pool = MakePool(options);
-  const std::size_t shards =
-      static_cast<std::size_t>(flags.GetInt("shards", 4));
 
   const std::vector<double> dropouts = {0.0, 0.05, 0.20, 0.50};
 
   TextTable table(
       "Fault tolerance: FedRecAttack under client dropout (ml-100k, rho=5%, "
-      "quorum=1) and sharded throughput under shard outages (S=" +
-      std::to_string(shards) + ")");
+      "quorum=1)");
   table.SetHeader({"Metric", "drop=0%", "drop=5%", "drop=20%", "drop=50%"});
 
   std::vector<ExperimentResult> results;
@@ -111,40 +63,11 @@ int Main(int argc, const char* const* argv) {
   table.AddRow(dropped);
   table.AddRow(skipped);
   AddThroughputRow(table, results);
-  table.AddSeparator();
-
-  // Shard-outage sweep: same column count as the header; the rates are the
-  // per-shard, per-attempt outage probabilities.
-  const std::vector<double> outage_rates = {0.0, 0.05, 0.20, 0.50};
-  FedConfig outage_config;
-  outage_config.model.dim = 16;
-  outage_config.clients_per_round = 32;
-  outage_config.epochs = options.full ? 8 : 3;
-  outage_config.seed = options.seed;
-  Result<Dataset> data = GenerateByName("ml-100k", options.seed, 0.25);
-  data.status().CheckOK();
-
-  std::vector<std::string> outage_rps{"outage sharded wall r/s"};
-  std::vector<std::string> outage_retries{"shard retries"};
-  std::vector<std::string> outage_fallbacks{"coordinator fallbacks"};
-  for (double rate : outage_rates) {
-    const OutageMeasurement m =
-        MeasureOutages(data.value(), outage_config, rate, shards, pool.get());
-    outage_rps.push_back(FormatDouble(m.wall_rps, 1));
-    outage_retries.push_back(std::to_string(m.wire.shard_retries));
-    outage_fallbacks.push_back(std::to_string(m.wire.fallback_shards));
-  }
-  table.AddRow(outage_rps);
-  table.AddRow(outage_retries);
-  table.AddRow(outage_fallbacks);
 
   EmitTable(table, options);
   std::puts(
-      "(dropout sweep = full FedRecAttack runs with the quorum-degraded "
-      "aggregator; outage sweep = benign sharded rounds where each shard "
-      "attempt fails with the given probability and the coordinator retries "
-      "with deterministic backoff, then falls back locally. Outage columns "
-      "reuse the header's percentages as outage rates.)");
+      "(full FedRecAttack runs with the quorum-degraded aggregator; a dropped "
+      "client skips its upload for the round.)");
   return 0;
 }
 

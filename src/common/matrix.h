@@ -23,7 +23,8 @@ namespace internal {
 /// (SparseRowMatrix, SparseRoundDelta). Incremented whenever an internal
 /// buffer must reallocate; operations served from retained capacity add
 /// nothing. The round loop's steady-state zero-allocation guarantee is
-/// measured against this counter (tests and bench_round_engine).
+/// measured against this counter (tests and the benchmark's
+/// shard.allocs_per_round).
 inline std::atomic<std::uint64_t> g_sparse_allocations{0};
 
 /// Notes one growth event when `needed` exceeds `capacity`.

@@ -35,8 +35,8 @@
 ///
 /// The service is the high-concurrency half of the deployment story: a
 /// single epoll loop sustains thousands of concurrent client connections
-/// (bench_federation_service measures rounds/s and round-latency percentiles
-/// against it), while shard fan-out behind it reuses the engine's
+/// (`service_fanin` in benchmark/ measures rounds/s and round-latency
+/// percentiles against it), while shard fan-out behind it reuses the engine's
 /// retry/fallback delivery loop, so a dead shardd degrades the round instead
 /// of wedging it.
 

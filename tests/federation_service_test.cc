@@ -19,6 +19,7 @@
 #include "fed/aggregator.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "obs/trace.h"
 #include "shard/shard_plan.h"
 #include "shard/transport.h"
 #include "shard/wire.h"
@@ -298,6 +299,62 @@ TEST(FederationServiceTest, ConcurrentClientsCompleteRounds) {
   EXPECT_EQ(harness.stats().rounds_completed, rounds);
   EXPECT_EQ(harness.stats().uploads_received, num_clients * rounds);
   EXPECT_EQ(harness.stats().connections_accepted, num_clients);
+}
+
+TEST(FederationServiceTest, SteadyStateRoundsAreAllocationFree) {
+  // Fully instrumented: spans record into the global ring throughout. The
+  // ring is enabled before the service and client threads exist.
+  obs::TraceRing& ring = obs::TraceRing::Global();
+  ring.Enable(1u << 12);
+
+  Rng init(16);
+  MfModel model(kNumItems, ModelParams(), init);
+  const std::size_t num_clients = 4;
+  const std::size_t warmup_rounds = 3;
+  const std::size_t measured_rounds = 8;
+  ServiceHarness harness(&model, /*num_shards=*/2, num_clients,
+                         warmup_rounds + measured_rounds);
+
+  // Same-shaped uploads, encoded once and resent every round, so the
+  // measured rounds build no gradients of their own. Every client sends two
+  // rows to shard 0 (items [0, 15)) and one to shard 1, overlapping across
+  // clients: uploads land in the service's slots in arrival order, so a
+  // client-dependent shape would let one slot's buffers grow whenever a
+  // larger upload first reaches it.
+  const std::array<std::array<std::size_t, 3>, num_clients> client_rows = {
+      {{0, 11, 20}, {5, 11, 22}, {3, 9, 20}, {2, 14, 29}}};
+  std::vector<std::unique_ptr<TestClient>> clients;
+  std::vector<std::string> uploads;
+  for (std::size_t c = 0; c < num_clients; ++c) {
+    const auto user = static_cast<std::uint32_t>(c);
+    clients.push_back(std::make_unique<TestClient>(harness.port()));
+    uploads.push_back(
+        EncodeClientUpload(MakeGradients(user, 0, client_rows[c]), user));
+  }
+  auto run_rounds = [&](std::uint64_t first, std::size_t count) {
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < num_clients; ++c) {
+      threads.emplace_back([&, c] {
+        for (std::uint64_t r = first; r < first + count; ++r) {
+          clients[c]->SendFrame(FrameType::kClientUpload, uploads[c]);
+          EXPECT_EQ(clients[c]->ExpectRoundAck(), r);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  };
+
+  // Warm-up grows every high-water buffer end to end. Acks go out after the
+  // round's apply, so once all of them are in the service is idle.
+  run_rounds(0, warmup_rounds);
+  ResetSparseAllocationCount();
+  run_rounds(warmup_rounds, measured_rounds);
+  harness.Join();  // self-stopped at max_rounds
+
+  EXPECT_EQ(SparseAllocationCount(), 0u);
+  EXPECT_EQ(harness.stats().rounds_completed, warmup_rounds + measured_rounds);
+  EXPECT_GT(ring.recorded(), 0u);
+  ring.Disable();
 }
 
 TEST(FederationServiceTest, MalformedUploadIsRejectedAndConnectionSurvives) {
