@@ -1,6 +1,7 @@
 /// Micro-benchmarks (google-benchmark) of the hot kernels behind the
 /// simulation and the attack: BPR local step, full-catalog scoring, top-K
-/// selection, poisoned-gradient computation, and the aggregation rules.
+/// selection, poisoned-gradient computation, the aggregation rules and the
+/// wire checksum.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "fed/client.h"
 #include "model/bpr.h"
 #include "model/topk.h"
+#include "shard/wire.h"
 
 namespace fedrec {
 namespace {
@@ -213,9 +215,8 @@ void BM_PoisonGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_PoisonGradient)->Arg(256)->Arg(943)->Unit(benchmark::kMillisecond);
 
-/// 64 clients x 60 random rows of 1682 items, dim 32 — the shared round
-/// shape for the dense and sparse aggregation benchmarks below (they must
-/// measure the identical workload).
+/// 64 clients x 60 random rows of 1682 items, dim 32 — the round shape of
+/// the aggregation benchmark below.
 std::vector<ClientUpdate> MakeRoundUpdates() {
   Rng rng(8);
   std::vector<ClientUpdate> updates;
@@ -231,22 +232,6 @@ std::vector<ClientUpdate> MakeRoundUpdates() {
   }
   return updates;
 }
-
-void BM_Aggregate(benchmark::State& state) {
-  const auto kind = static_cast<AggregatorKind>(state.range(0));
-  const std::vector<ClientUpdate> updates = MakeRoundUpdates();
-  AggregatorOptions options;
-  options.kind = kind;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(AggregateUpdates(updates, 1682, 32, options));
-  }
-}
-BENCHMARK(BM_Aggregate)
-    ->Arg(static_cast<int>(AggregatorKind::kSum))
-    ->Arg(static_cast<int>(AggregatorKind::kTrimmedMean))
-    ->Arg(static_cast<int>(AggregatorKind::kMedian))
-    ->Arg(static_cast<int>(AggregatorKind::kKrum))
-    ->Unit(benchmark::kMillisecond);
 
 void BM_AggregateSparse(benchmark::State& state) {
   const auto kind = static_cast<AggregatorKind>(state.range(0));
@@ -266,6 +251,53 @@ BENCHMARK(BM_AggregateSparse)
     ->Arg(static_cast<int>(AggregatorKind::kMedian))
     ->Arg(static_cast<int>(AggregatorKind::kKrum))
     ->Unit(benchmark::kMillisecond);
+
+/// The median kernel at a fixed contributor count: `n` clients each upload
+/// the same 64 rows (dim 32), so every row group has exactly n contributors.
+void BM_AggregateSparseMedian(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(10);
+  std::vector<ClientUpdate> updates(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    updates[c].user = static_cast<std::uint32_t>(c);
+    updates[c].item_gradients = SparseRowMatrix(32);
+    for (std::size_t row = 0; row < 64; ++row) {
+      auto values = updates[c].item_gradients.RowMutable(row * 7);
+      for (auto& v : values) v = static_cast<float>(rng.NextGaussian(0.0, 0.05));
+    }
+  }
+  AggregatorOptions options;
+  options.kind = AggregatorKind::kMedian;
+  AggregationWorkspace workspace;
+  SparseRoundDelta delta;
+  for (auto _ : state) {
+    AggregateUpdates(updates, 32, options, workspace, delta);
+    benchmark::DoNotOptimize(delta.row_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * 64 * 32));
+}
+BENCHMARK(BM_AggregateSparseMedian)
+    ->Arg(2)->Arg(5)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+/// The wire checksum at a 4 KiB message and at one shard's inbox in the
+/// ML-1M sharded workload (about 680 KiB).
+void BM_Crc32(benchmark::State& state) {
+  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
+  Rng rng(11);
+  std::vector<unsigned char> buffer(bytes);
+  for (auto& b : buffer) b = static_cast<unsigned char>(rng.NextBounded(256));
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32(crc, buffer.data(), buffer.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+  state.SetLabel(HasFoldedCrc32() ? "folded" : "table");
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(680 << 10);
 
 void BM_WeightedSample(benchmark::State& state) {
   Rng rng(9);

@@ -1,5 +1,6 @@
 #include "common/kernels.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -413,6 +414,56 @@ void ScoreBlockPacked(const float* users, std::size_t num_users,
       }
       StoreLanes(o, j0, acc, valid);
 #endif
+    }
+  }
+}
+
+namespace {
+
+/// a, b <- min(a, b), max(a, b) elementwise over dim floats. A lane swaps
+/// only when b < a, in both paths, so equal values (and -0.0 / +0.0 pairs)
+/// stay where they are and the two paths agree bit for bit.
+inline void CompareExchangeRows(float* a, float* b, std::size_t dim) {
+  std::size_t d = 0;
+#if FEDREC_KERNELS_VECTOR
+  for (; d + 8 <= dim; d += 8) {
+    const Vec8 x = LoadU(a + d);
+    const Vec8 y = LoadU(b + d);
+    const auto swap = y < x;
+    StoreU(a + d, swap ? y : x);
+    StoreU(b + d, swap ? x : y);
+  }
+#endif
+  for (; d < dim; ++d) {
+    const float x = a[d];
+    const float y = b[d];
+    const bool swap = y < x;
+    a[d] = swap ? y : x;
+    b[d] = swap ? x : y;
+  }
+}
+
+}  // namespace
+
+FEDREC_KERNEL_CLONES
+void SortColumns(float* tile, std::size_t n, std::size_t dim) {
+  // Batcher's odd-even merge sort in its iterative form for arbitrary n:
+  // merge sorted runs of p rows into runs of 2p (p = 1, 2, 4, ...), each
+  // merge a cascade of compare-exchanges at strides k = p, p/2, ..., 1.
+  // Comparators are kept only when both rows lie in the same 2p-run and
+  // below n; the dropped ones are the no-ops of the +inf-padded network.
+  for (std::size_t p = 1, run_shift = 1; p < n; p <<= 1, ++run_shift) {
+    for (std::size_t k = p; k >= 1; k >>= 1) {
+      for (std::size_t j = k % p; j + k < n; j += 2 * k) {
+        const std::size_t i_end = std::min(k, n - j - k);
+        for (std::size_t i = 0; i < i_end; ++i) {
+          const std::size_t lo = i + j;
+          const std::size_t hi = lo + k;
+          if ((lo >> run_shift) == (hi >> run_shift)) {
+            CompareExchangeRows(tile + lo * dim, tile + hi * dim, dim);
+          }
+        }
+      }
     }
   }
 }

@@ -108,6 +108,21 @@ void ScoreBlockPacked(const float* users, std::size_t num_users,
                       const float* items_packed, std::size_t num_items,
                       std::size_t dim, float* out, std::size_t out_stride);
 
+/// Sorts every column of a row-major n x dim tile ascending, in place: after
+/// the call, tile[i * dim + d] is the i-th smallest of column d. The network
+/// is Batcher's odd-even merge sort for the next power of two above n with
+/// every comparator that touches a row >= n dropped, which is exactly the
+/// network over a tile padded with +inf rows (a padded row is never smaller
+/// than a real one, so its comparators never swap). Each comparator is an
+/// elementwise min/max of two whole tile rows, vectorised across dim, and the
+/// comparator sequence depends on n only, never on the values.
+///
+/// For NaN-free input the sorted columns hold exactly the values std::sort
+/// would produce; only the placement of equal-valued -0.0 / +0.0 among each
+/// other is unspecified (std::sort's is too). The vector and scalar paths
+/// produce bit-identical tiles, zeros included.
+void SortColumns(float* tile, std::size_t n, std::size_t dim);
+
 }  // namespace kernels
 }  // namespace fedrec
 

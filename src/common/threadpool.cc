@@ -2,7 +2,16 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+
 namespace fedrec {
+
+namespace {
+/// The pool whose WorkerLoop runs on this thread (null off-pool). A worker
+/// that waits on its own pool counts its own task as in flight and never
+/// returns, so Wait() and ParallelFor() check this instead of deadlocking.
+thread_local const ThreadPool* t_worker_of = nullptr;
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t n = std::max<std::size_t>(1, num_threads);
@@ -48,11 +57,15 @@ void ThreadPool::SubmitBatch(std::vector<std::function<void()>> tasks) {
 }
 
 void ThreadPool::Wait() {
+  FEDREC_CHECK(t_worker_of != this)
+      << "ThreadPool::Wait called from one of the pool's own workers "
+         "(it would wait for its own task forever)";
   std::unique_lock<std::mutex> lock(mutex_);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
+  t_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -77,6 +90,9 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
                              std::size_t grain,
                              const std::function<void(std::size_t)>& fn) {
+  FEDREC_CHECK(t_worker_of != this)
+      << "ThreadPool::ParallelFor called from one of the pool's own workers "
+         "(it would wait for its own task forever)";
   if (begin >= end) return;
   const std::size_t count = end - begin;
   if (thread_count() <= 1 || count == 1) {

@@ -37,7 +37,9 @@ class ThreadPool {
   /// wake-up, instead of one lock + notify per task. Tasks must not throw.
   void SubmitBatch(std::vector<std::function<void()>> tasks);
 
-  /// Blocks until every submitted task has finished executing.
+  /// Blocks until every submitted task has finished executing. Aborts when
+  /// called from one of this pool's workers, which would wait for its own
+  /// task forever.
   void Wait();
 
   /// Executes fn(i) for i in [begin, end) across the pool with *static*
@@ -46,7 +48,9 @@ class ThreadPool {
   /// task per chunk, and the call blocks until all chunks finished. Static
   /// assignment keeps the index->task mapping deterministic; callers must
   /// still not depend on execution order. With <= 1 worker the loop runs
-  /// inline on the calling thread. Must be called from outside the pool.
+  /// inline on the calling thread. Must be called from outside the pool: a
+  /// call from one of its workers aborts (FEDREC_CHECK) instead of
+  /// deadlocking, even when the loop would have run inline.
   void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
                    const std::function<void(std::size_t)>& fn);
 

@@ -115,6 +115,13 @@ Result<std::string_view> BinaryReader::PeekBytes(std::size_t bytes) {
   return data().substr(position_, bytes);
 }
 
+Result<std::string_view> BinaryReader::ReadBytes(std::size_t bytes) {
+  FEDREC_RETURN_NOT_OK(Need(bytes));
+  const std::string_view view = data().substr(position_, bytes);
+  position_ += bytes;
+  return view;
+}
+
 Status SaveMatrix(const Matrix& matrix, const std::string& path) {
   BinaryWriter writer;
   writer.WriteU32(kMatrixMagic);

@@ -78,6 +78,10 @@ class BinaryReader {
   /// validation reads the payload once before parsing it.
   [[nodiscard]] Result<std::string_view> PeekBytes(std::size_t bytes);
 
+  /// View of the next `bytes` bytes, consumed — how a validated wire message
+  /// hands its payload to a parser that reads it in place.
+  [[nodiscard]] Result<std::string_view> ReadBytes(std::size_t bytes);
+
   std::size_t position() const { return position_; }
   std::size_t remaining() const { return data().size() - position_; }
   bool exhausted() const { return position_ >= data().size(); }

@@ -26,8 +26,8 @@ const char* AggregatorKindToString(AggregatorKind kind) {
   return "?";
 }
 
-void BuildRowIndex(std::span<const ClientUpdate> updates,
-                   AggregationWorkspace& workspace) {
+void GatherRowIndex(std::span<const ClientUpdate> updates,
+                    AggregationWorkspace& workspace) {
   std::size_t total_rows = 0;
   for (const ClientUpdate& update : updates) {
     total_rows += update.item_gradients.row_count();
@@ -35,16 +35,31 @@ void BuildRowIndex(std::span<const ClientUpdate> updates,
   std::vector<RowContribution>& entries = workspace.row_index;
   entries.clear();
   entries.reserve(total_rows);
-  std::size_t max_row = 0;
   for (const ClientUpdate& update : updates) {
     const auto& rows = update.item_gradients.row_ids();
     for (std::size_t slot = 0; slot < rows.size(); ++slot) {
       entries.push_back({rows[slot], update.item_gradients.RowAtSlot(slot).data()});
-      max_row = std::max(max_row, rows[slot]);
     }
   }
+}
+
+void GatherRowIndex(std::span<const std::size_t> rows, const float* values,
+                    std::size_t dim, AggregationWorkspace& workspace) {
+  std::vector<RowContribution>& entries = workspace.row_index;
+  entries.resize(rows.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    entries[k] = {rows[k], values + k * dim};
+  }
+}
+
+void SortRowIndex(AggregationWorkspace& workspace) {
+  std::vector<RowContribution>& entries = workspace.row_index;
+  std::size_t max_row = 0;
+  for (const RowContribution& entry : entries) {
+    max_row = std::max(max_row, entry.row);
+  }
   // Stable LSD radix passes over the row bytes: branch-free counting
-  // scatters group the entries by row while preserving update order within a
+  // scatters group the entries by row while preserving gather order within a
   // row (what stable_sort gave, minus its per-call temp buffer and minus a
   // comparison sort's mispredicted branches on fresh data every round).
   // All scratch lives in the workspace; zero steady-state allocations.
@@ -172,86 +187,81 @@ void AggregateNormBoundGroups(const AggregationWorkspace& workspace,
   }
 }
 
+/// Median / trimmed mean over each group's contributors, coordinate by
+/// coordinate. The group's n rows are copied into an n x dim tile whose
+/// columns one sorting network orders all at once (kernels::SortColumns);
+/// the order statistics are then read off whole tile rows: rows n/2 - 1 and
+/// n/2 for the median, the kept middle [trim, n - trim) summed in ascending
+/// order for the trimmed mean.
+///
+/// For NaN-free input this is bit-identical to sorting every column on its
+/// own (the historical nth_element / std::sort kernel), with one exception:
+/// when the median selects a zero from a column holding both -0.0 and +0.0,
+/// either sign may come out, because neither sort orders equal-valued zeros
+/// (the results are equal by value). The trimmed mean has no such case: its
+/// double sum starts at +0.0, so a sum of zeros is +0.0 whatever their signs.
 void AggregateCoordinateWiseGroups(
     const AggregationWorkspace& workspace, std::size_t dim, bool median,
     double trim_fraction, std::size_t group_begin, std::size_t group_end,
     AggregationWorkspace::ShardScratch& scratch, SparseRoundDelta& out) {
-  std::vector<float>& column = scratch.column;
+  std::vector<float>& tile = scratch.tile;
+  std::vector<double>& sums = scratch.sums;
+  sums.resize(dim);
   for (std::size_t g = group_begin; g < group_end; ++g) {
     const RowContribution* contributors =
         workspace.row_index.data() + workspace.group_offsets[g];
     const std::size_t n =
         workspace.group_offsets[g + 1] - workspace.group_offsets[g];
+    if (tile.size() < n * dim) tile.resize(n * dim);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::copy(contributors[i].data, contributors[i].data + dim,
+                tile.data() + i * dim);
+    }
+    kernels::SortColumns(tile.data(), n, dim);
+    // Rescale by the contributor count to stay comparable with kSum.
+    const double scale = static_cast<double>(n);
     auto acc = out.RowAtSlot(g);
-    column.resize(n);
-    for (std::size_t d = 0; d < dim; ++d) {
-      for (std::size_t i = 0; i < n; ++i) column[i] = contributors[i].data[d];
-      double robust = 0.0;
-      if (median) {
-        // Selection instead of a full sort. For even n the lower middle is
-        // the maximum of the partition left of the upper middle.
-        const std::size_t mid = n / 2;
-        std::nth_element(column.begin(), column.begin() + mid, column.end());
-        if (n % 2 == 1) {
-          robust = column[mid];
-        } else {
-          const float lower =
-              *std::max_element(column.begin(), column.begin() + mid);
-          // Float addition first, exactly like the historical
-          // column[n/2 - 1] + column[n/2] on the sorted column.
-          robust = 0.5 * (lower + column[mid]);
+    if (median) {
+      const float* upper = tile.data() + (n / 2) * dim;
+      if (n % 2 == 1) {
+        for (std::size_t d = 0; d < dim; ++d) {
+          acc[d] = static_cast<float>(static_cast<double>(upper[d]) * scale);
         }
       } else {
-        std::size_t trim = static_cast<std::size_t>(
-            std::floor(trim_fraction * static_cast<double>(n)));
-        if (2 * trim >= n) trim = (n - 1) / 2;
-        // Partition both tails away with nth_element, then sort only the kept
-        // middle so the ascending summation order (and therefore every bit of
-        // the result) matches the historical sorted-column implementation.
-        if (trim > 0) {
-          std::nth_element(column.begin(), column.begin() + trim, column.end());
-          std::nth_element(column.begin() + trim, column.begin() + (n - trim),
-                           column.end());
+        const float* lower = upper - dim;
+        for (std::size_t d = 0; d < dim; ++d) {
+          // Float addition first, exactly like the historical
+          // column[n/2 - 1] + column[n/2] on the sorted column.
+          const float middle = lower[d] + upper[d];
+          acc[d] = static_cast<float>(0.5 * middle * scale);
         }
-        std::sort(column.begin() + trim, column.begin() + (n - trim));
-        double sum = 0.0;
-        const std::size_t kept = n - 2 * trim;
-        for (std::size_t i = trim; i < n - trim; ++i) sum += column[i];
-        robust = sum / static_cast<double>(kept);
       }
-      // Rescale by the contributor count to stay comparable with kSum.
-      acc[d] = static_cast<float>(robust * static_cast<double>(n));
+      continue;
+    }
+    std::size_t trim = static_cast<std::size_t>(
+        std::floor(trim_fraction * static_cast<double>(n)));
+    if (2 * trim >= n) trim = (n - 1) / 2;
+    std::fill(sums.begin(), sums.end(), 0.0);
+    for (std::size_t i = trim; i < n - trim; ++i) {
+      const float* sorted = tile.data() + i * dim;
+      for (std::size_t d = 0; d < dim; ++d) sums[d] += sorted[d];
+    }
+    const double kept = static_cast<double>(n - 2 * trim);
+    for (std::size_t d = 0; d < dim; ++d) {
+      acc[d] = static_cast<float>(sums[d] / kept * scale);
     }
   }
 }
 
-void AggregateKrumSparse(std::span<const ClientUpdate> updates,
-                         std::size_t dim, std::size_t krum_honest,
-                         AggregationWorkspace& workspace, SparseRoundDelta& out) {
-  const std::size_t pick = KrumSelect(updates, 0, dim, krum_honest);
-  EmitKrumSelected(updates[pick].item_gradients,
-                   static_cast<float>(updates.size()), workspace, out);
-}
-
 }  // namespace
 
-void EmitKrumSelected(const SparseRowMatrix& upload, float scale,
+void EmitKrumSelected(std::size_t dim, float scale,
                       AggregationWorkspace& workspace, SparseRoundDelta& out) {
-  // Only the selected client's rows are touched; reuse the row index to emit
-  // them in ascending order.
-  const std::size_t dim = upload.cols();
-  std::vector<RowContribution>& entries = workspace.row_index;
-  entries.clear();
-  entries.reserve(upload.row_count());
-  const auto& row_ids = upload.row_ids();
-  for (std::size_t slot = 0; slot < row_ids.size(); ++slot) {
-    entries.push_back({row_ids[slot], upload.RowAtSlot(slot).data()});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const RowContribution& a, const RowContribution& b) {
-              return a.row < b.row;
-            });
-  for (const RowContribution& entry : entries) {
+  // Only the selected client's rows are touched; the row index sorts them
+  // into the delta's ascending order (one upload never repeats a row).
+  out.Reset(dim);
+  SortRowIndex(workspace);
+  for (const RowContribution& entry : workspace.row_index) {
     kernels::Axpy(scale, entry.data, out.AppendRow(entry.row).data(), dim);
   }
 }
@@ -360,15 +370,29 @@ void AggregateUpdates(std::span<const ClientUpdate> updates, std::size_t dim,
                       const AggregatorOptions& options,
                       AggregationWorkspace& workspace, SparseRoundDelta& out,
                       ThreadPool* pool, std::size_t num_shards) {
-  out.Reset(dim);
-  if (updates.empty()) return;
-  if (options.kind == AggregatorKind::kKrum) {
-    // Krum is a whole-round selection, not a per-row reduction; it never
-    // shards (the selected upload's emit loop is O(kappa * dim)).
-    AggregateKrumSparse(updates, dim, options.krum_honest, workspace, out);
+  if (options.kind != AggregatorKind::kKrum) {
+    GatherRowIndex(updates, workspace);
+    AggregateRowIndex(dim, options, workspace, out, pool, num_shards);
     return;
   }
-  BuildRowIndex(updates, workspace);
+  // Krum is a whole-round selection, not a per-row reduction; it never
+  // shards (the selected upload's emit loop is O(kappa * dim)).
+  out.Reset(dim);
+  if (updates.empty()) return;
+  const std::size_t pick =
+      KrumSelect(updates, /*num_items=*/0, dim, options.krum_honest);
+  GatherRowIndex(updates.subspan(pick, 1), workspace);
+  EmitKrumSelected(dim, static_cast<float>(updates.size()), workspace, out);
+}
+
+// fedrec:hot
+void AggregateRowIndex(std::size_t dim, const AggregatorOptions& options,
+                       AggregationWorkspace& workspace, SparseRoundDelta& out,
+                       ThreadPool* pool, std::size_t num_shards) {
+  FEDREC_CHECK(options.kind != AggregatorKind::kKrum)
+      << "Krum is a whole-round selection; use EmitKrumSelected";
+  out.Reset(dim);
+  SortRowIndex(workspace);
   const std::size_t groups = BuildGroups(workspace, out);
   if (groups == 0) return;
   switch (options.kind) {
@@ -390,37 +414,19 @@ void AggregateUpdates(std::span<const ClientUpdate> updates, std::size_t dim,
           });
       return;
     case AggregatorKind::kTrimmedMean:
-      ForEachGroupSharded(
-          workspace, groups, pool, num_shards,
-          [&](std::size_t group_begin, std::size_t group_end,
-              AggregationWorkspace::ShardScratch& scratch) {
-            AggregateCoordinateWiseGroups(workspace, dim, /*median=*/false,
-                                          options.trim_fraction, group_begin,
-                                          group_end, scratch, out);
-          });
-      return;
     case AggregatorKind::kMedian:
       ForEachGroupSharded(
           workspace, groups, pool, num_shards,
           [&](std::size_t group_begin, std::size_t group_end,
               AggregationWorkspace::ShardScratch& scratch) {
-            AggregateCoordinateWiseGroups(workspace, dim, /*median=*/true,
-                                          options.trim_fraction, group_begin,
-                                          group_end, scratch, out);
+            AggregateCoordinateWiseGroups(
+                workspace, dim, options.kind == AggregatorKind::kMedian,
+                options.trim_fraction, group_begin, group_end, scratch, out);
           });
       return;
     case AggregatorKind::kKrum:
-      return;  // handled above
+      return;  // rejected above
   }
-}
-
-Matrix AggregateUpdates(std::span<const ClientUpdate> updates,
-                        std::size_t num_items, std::size_t dim,
-                        const AggregatorOptions& options) {
-  AggregationWorkspace workspace;
-  SparseRoundDelta delta;
-  AggregateUpdates(updates, dim, options, workspace, delta);
-  return delta.ToDense(num_items);
 }
 
 }  // namespace fedrec

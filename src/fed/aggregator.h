@@ -20,12 +20,17 @@
 /// most clients touch disjoint item subsets, which is exactly why the paper
 /// argues classical byzantine-robust rules fit FR poorly.
 ///
-/// The primary entry point is the sparse-output overload: a round only moves
-/// the rows its clients uploaded, so the aggregate is a SparseRoundDelta over
-/// the touched rows — O(touched * dim) instead of O(num_items * dim) — and
-/// all scratch state lives in a caller-owned AggregationWorkspace that is
-/// reused round over round. The dense overload materializes the same delta
-/// into a full matrix and exists for tests and offline analysis.
+/// A round only moves the rows its clients uploaded, so the aggregate is a
+/// SparseRoundDelta over the touched rows — O(touched * dim) instead of
+/// O(num_items * dim) — and all scratch state lives in a caller-owned
+/// AggregationWorkspace that is reused round over round
+/// (SparseRoundDelta::ToDense materializes the delta for tests).
+///
+/// Every per-row rule runs over one flat row -> contributors index, built in
+/// two halves: a gather (from ClientUpdates, or from a shard server's flat
+/// arena of decoded wire rows) and a stable radix sort by row id. The single
+/// server and the shard servers share the sort, the row groups and the
+/// kernels, which keeps the two bit-identical by construction.
 
 namespace fedrec {
 
@@ -41,10 +46,11 @@ struct RowContribution {
 /// across rounds, so steady-state aggregation performs no allocations.
 struct AggregationWorkspace {
   /// Flat row -> contributors index: every uploaded row as a (row, values)
-  /// entry, stably grouped by row id (LSD radix passes) so each item's
-  /// contributors form one contiguous run in update order.
+  /// entry, gathered in upload order and then stably grouped by row id (LSD
+  /// radix passes), so each item's contributors form one contiguous run in
+  /// upload order.
   std::vector<RowContribution> row_index;
-  /// Radix ping-pong buffer and per-pass histogram for BuildRowIndex.
+  /// Radix ping-pong buffer and per-pass histogram for SortRowIndex.
   std::vector<RowContribution> row_index_scratch;
   std::vector<std::uint32_t> radix_counts;
   /// Group partition of `row_index`: group_offsets[g] is the index of the
@@ -54,32 +60,43 @@ struct AggregationWorkspace {
   /// Distinct row ids, ascending (parallel to group_offsets minus the
   /// sentinel); bulk-assigned into the output delta.
   std::vector<std::size_t> group_rows;
-  /// Per-shard gather/clip buffers. shards[0] doubles as the serial path's
+  /// Per-shard kernel buffers. shards[0] doubles as the serial path's
   /// scratch; the vector grows to the shard count in use and each entry's
   /// capacity is retained across rounds.
   struct ShardScratch {
-    /// Per-coordinate contributor gather buffer (median / trimmed mean).
-    std::vector<float> column;
+    /// n x dim contributor tile the median / trimmed-mean kernel sorts
+    /// column by column (high-water, retained across rounds).
+    std::vector<float> tile;
+    /// Per-coordinate sums of the trimmed mean's kept middle.
+    std::vector<double> sums;
     /// Row clip buffer (norm-bound).
     std::vector<float> clipped;
   };
   std::vector<ShardScratch> shards;
 };
 
-/// Rebuilds `workspace.row_index` from the round's uploads. Exposed so the
-/// round engine can share the index with other per-round consumers. Updates
-/// are taken as a span so callers with persistent slot vectors (the shard
-/// servers' routed-upload pools) can pass an active prefix without resizing.
-void BuildRowIndex(std::span<const ClientUpdate> updates,
-                   AggregationWorkspace& workspace);
+/// Gather half of the row index: refills `workspace.row_index` with every
+/// row of `updates` in update order (within an update, in row_ids() order).
+void GatherRowIndex(std::span<const ClientUpdate> updates,
+                    AggregationWorkspace& workspace);
+
+/// The same gather over a flat arena: row `rows[k]` holds the `dim` floats
+/// at `values + k * dim`. The shard servers decode their FRWU inbox into
+/// such an arena, so their index points straight at the decoded rows.
+void GatherRowIndex(std::span<const std::size_t> rows, const float* values,
+                    std::size_t dim, AggregationWorkspace& workspace);
+
+/// Sort half of the row index: stable LSD radix sort of `workspace.row_index`
+/// by row id, so every row's contributors keep their gather order.
+void SortRowIndex(AggregationWorkspace& workspace);
 
 class ThreadPool;
 
 /// Aggregates one round of uploads into the touched-row delta `out`
 /// (out.rows() is the ascending union of all uploaded row ids; for kKrum only
 /// the selected client's rows). All five AggregatorKind rules are routed
-/// through this overload; the result is bit-identical to materializing the
-/// historical dense gradient.
+/// through this entry point; the result is bit-identical to materializing
+/// the historical dense gradient.
 ///
 /// When `pool` is non-null the per-row work is sharded across the pool by
 /// contiguous ranges of the row->contributors groups (`num_shards` ranges;
@@ -93,21 +110,22 @@ void AggregateUpdates(std::span<const ClientUpdate> updates, std::size_t dim,
                       AggregationWorkspace& workspace, SparseRoundDelta& out,
                       ThreadPool* pool = nullptr, std::size_t num_shards = 0);
 
-/// Dense convenience overload: aggregates sparsely, then scatters into a
-/// num_items x dim matrix. Tests and offline tooling only — the round loop
-/// applies the sparse delta directly.
-Matrix AggregateUpdates(std::span<const ClientUpdate> updates,
-                        std::size_t num_items, std::size_t dim,
-                        const AggregatorOptions& options);
+/// The per-row rules (every kind but kKrum) over an already gathered
+/// `workspace.row_index`: sorts it, partitions it into row groups and runs
+/// the rule's kernel into `out`. AggregateUpdates is GatherRowIndex plus
+/// this; a shard server gathers from its decoded arena instead.
+void AggregateRowIndex(std::size_t dim, const AggregatorOptions& options,
+                       AggregationWorkspace& workspace, SparseRoundDelta& out,
+                       ThreadPool* pool = nullptr, std::size_t num_shards = 0);
 
-/// Emits `upload`'s rows into `out` in ascending row order, scaled by
-/// `scale` — the Krum emit step (the selected client's update stands in for
-/// the whole round, rescaled to the round size to keep the learning-rate
-/// semantics of Eq. 7). Shared by the single-server kKrum rule and the shard
-/// servers, whose winner is selected globally; extracting it keeps the two
-/// paths bit-identical by construction. Uses `workspace.row_index` as
-/// sorting scratch.
-void EmitKrumSelected(const SparseRowMatrix& upload, float scale,
+/// Resets `out` to `dim` columns and emits the gathered `workspace.row_index`
+/// — one upload's rows — in ascending row order, scaled by `scale`: the Krum
+/// emit step (the selected client's update stands in for the whole round,
+/// rescaled to the round size to keep the learning-rate semantics of Eq. 7).
+/// Shared by the single-server kKrum rule and the shard servers, whose
+/// winner is selected globally, so the two paths are bit-identical by
+/// construction.
+void EmitKrumSelected(std::size_t dim, float scale,
                       AggregationWorkspace& workspace, SparseRoundDelta& out);
 
 /// Krum selection: index into `updates` of the client whose upload minimizes

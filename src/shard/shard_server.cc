@@ -9,11 +9,37 @@
 
 namespace fedrec {
 
+namespace {
+
+/// Grows a high-water buffer to at least `size` elements (never shrinks),
+/// noting the growth as a sparse allocation.
+template <typename T>
+void GrowNoted(std::vector<T>& buffer, std::size_t size) {
+  if (buffer.size() >= size) return;
+  internal::NoteSparseGrowth(size, buffer.capacity());
+  buffer.resize(size);
+}
+
+template <typename T>
+void PushNoted(std::vector<T>& buffer, T value) {
+  internal::NoteSparseGrowth(buffer.size() + 1, buffer.capacity());
+  buffer.push_back(value);
+}
+
+}  // namespace
+
 ShardServer::ShardServer(const ShardPlan& plan, std::size_t dim)
     : plan_(plan), dim_(dim), shards_(plan.num_shards()),
       received_(plan.num_shards()), received_bytes_(plan.num_shards(), 0),
       cursor_(plan.num_shards(), 0) {
   FEDREC_CHECK_GT(dim, 0u);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].row_stamps.assign(
+        plan_.policy() == ShardPolicy::kContiguousRange
+            ? plan_.RangeEnd(s) - plan_.RangeBegin(s)
+            : plan_.num_items(),
+        0u);
+  }
 }
 
 void ShardServer::RouteRound(std::span<const ClientUpdate> updates,
@@ -69,53 +95,71 @@ void ShardServer::RouteShard(std::span<const ClientUpdate> updates,
   shard.route_seconds = timer.ElapsedSeconds();
 }
 
+// fedrec:hot — one copy of every routed row out of the wire; the arena and
+// the stamps are retained, so a steady-state decode never grows them.
 Status ShardServer::DecodeInbox(ShardState& shard, std::size_t s,
                                 std::string_view wire,
                                 std::size_t expected_messages) {
-  shard.routed_count = 0;
-  std::uint64_t last_source = 0;
+  UploadArena& arena = shard.arena;
+  arena.sources.clear();
+  arena.offsets.clear();
+  PushNoted(arena.offsets, std::size_t{0});
   BinaryReader reader = BinaryReader::View(wire);
   while (!reader.exhausted()) {
-    if (shard.routed_count == shard.routed.size()) {
-      shard.routed.emplace_back();
-      shard.routed_source.emplace_back();
-    }
-    ClientUpdate& slot = shard.routed[shard.routed_count];
-    Result<std::uint64_t> source = DecodeUpload(reader, slot.item_gradients);
-    if (!source.ok()) return source.status();
-    if (slot.item_gradients.cols() != dim_) {
+    Result<UploadView> parsed = ParseUpload(reader);
+    if (!parsed.ok()) return parsed.status();
+    const UploadView& view = parsed.value();
+    if (view.cols != dim_) {
       return Status::Corruption(
           "shard " + std::to_string(s) + ": upload dimension " +
-          std::to_string(slot.item_gradients.cols()) + " != " +
-          std::to_string(dim_));
+          std::to_string(view.cols) + " != " + std::to_string(dim_));
     }
-    for (std::size_t row : slot.item_gradients.row_ids()) {
+    // Routing encodes messages in ascending round-sequence order, so a
+    // non-ascending source is a replayed (duplicate) or reordered delivery —
+    // aggregating it would double-count the client.
+    if (!arena.sources.empty() && view.source <= arena.sources.back()) {
+      return Status::Corruption("shard " + std::to_string(s) +
+                                ": duplicate or out-of-order upload source " +
+                                std::to_string(view.source));
+    }
+    // A fresh stamp per message: a row whose stamp already equals it was
+    // carried twice by this message. Stamp 0 is never issued, so the
+    // zero-initialised (or wrapped and cleared) array matches nothing.
+    if (++shard.stamp == 0) {
+      std::fill(shard.row_stamps.begin(), shard.row_stamps.end(), 0u);
+      shard.stamp = 1;
+    }
+    const std::size_t base = arena.offsets.back();
+    const std::size_t end = base + view.row_count;
+    GrowNoted(arena.rows, end);
+    GrowNoted(arena.values, end * dim_);
+    for (std::size_t i = 0; i < view.row_count; ++i) {
+      const std::uint64_t row = view.RowId(i);
       if (row >= plan_.num_items() || plan_.ShardOf(row) != s) {
         return Status::Corruption("row " + std::to_string(row) +
                                   " routed to wrong shard " +
                                   std::to_string(s));
       }
+      std::uint32_t& seen = shard.row_stamps[LocalRow(s, row)];
+      if (seen == shard.stamp) {
+        return Status::Corruption("FRWU upload: duplicate row " +
+                                  std::to_string(row));
+      }
+      seen = shard.stamp;
+      arena.rows[base + i] = static_cast<std::size_t>(row);
+      view.CopyRow(i, arena.values.data() + (base + i) * dim_);
     }
-    // Routing encodes messages in ascending round-sequence order, so a
-    // non-ascending source is a replayed (duplicate) or reordered delivery —
-    // aggregating it would double-count the client.
-    if (shard.routed_count > 0 && source.value() <= last_source) {
-      return Status::Corruption("shard " + std::to_string(s) +
-                                ": duplicate or out-of-order upload source " +
-                                std::to_string(source.value()));
-    }
-    last_source = source.value();
-    shard.routed_source[shard.routed_count] = source.value();
-    ++shard.routed_count;
+    PushNoted(arena.sources, view.source);
+    PushNoted(arena.offsets, end);
   }
   // A delivery truncated exactly at a message boundary decodes cleanly but
   // loses tail messages; the router's count exposes it. (Hand-filled test
   // inboxes never went through RouteRound and record no expectation.)
-  if (expected_messages > 0 && shard.routed_count != expected_messages) {
+  if (expected_messages > 0 && arena.sources.size() != expected_messages) {
     return Status::Corruption(
         "shard " + std::to_string(s) + ": expected " +
         std::to_string(expected_messages) + " uploads, decoded " +
-        std::to_string(shard.routed_count));
+        std::to_string(arena.sources.size()));
   }
   return Status::OK();
 }
@@ -124,26 +168,31 @@ void ShardServer::AggregateShard(ShardState& shard,
                                  const AggregatorOptions& options,
                                  std::size_t round_size,
                                  std::uint64_t krum_source) {
-  const std::span<const ClientUpdate> routed(shard.routed.data(),
-                                             shard.routed_count);
+  const UploadArena& arena = shard.arena;
   if (options.kind != AggregatorKind::kKrum) {
-    AggregateUpdates(routed, dim_, options, shard.aggregation, shard.delta);
+    GatherRowIndex(std::span(arena.rows.data(), arena.offsets.back()),
+                   arena.values.data(), dim_, shard.aggregation);
+    AggregateRowIndex(dim_, options, shard.aggregation, shard.delta);
     return;
   }
   // Krum: the coordinator already selected the round's winner globally; this
-  // shard contributes the winner's routed rows through the same emit helper
-  // as the single-server rule, scaled by the round size. Sequence ids are
-  // round-unique, so at most one routed upload can match.
-  shard.delta.Reset(dim_);
-  for (std::size_t i = 0; i < shard.routed_count; ++i) {
-    if (shard.routed_source[i] == krum_source) {
-      EmitKrumSelected(shard.routed[i].item_gradients,
-                       static_cast<float>(round_size), shard.aggregation,
-                       shard.delta);
-      return;
+  // shard emits the winner's routed rows through the same emit step as the
+  // single-server rule, scaled by the round size. Sequence ids are
+  // round-unique, so at most one message matches; when none does, the
+  // winner touched no row of this shard and the shard delta is empty.
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  for (std::size_t m = 0; m < arena.sources.size(); ++m) {
+    if (arena.sources[m] == krum_source) {
+      begin = arena.offsets[m];
+      end = arena.offsets[m + 1];
+      break;
     }
   }
-  // The winner touched no row of this shard: empty shard delta.
+  GatherRowIndex(std::span(arena.rows.data() + begin, end - begin),
+                 arena.values.data() + begin * dim_, dim_, shard.aggregation);
+  EmitKrumSelected(dim_, static_cast<float>(round_size), shard.aggregation,
+                   shard.delta);
 }
 
 Status ShardServer::AggregateShardRound(std::size_t s,

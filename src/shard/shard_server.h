@@ -21,10 +21,11 @@
 ///
 ///   RouteRound          — every upload's rows are split by owning shard and
 ///                         encoded as FRWU messages into per-shard inboxes
-///   AggregateShardRound — each shard decodes its inbox and aggregates ONLY
-///                         its routed rows, then encodes its partial delta as
-///                         an FRWD message (AggregateShardRoundWire: the same
-///                         step over bytes a transport delivered)
+///   AggregateShardRound — each shard validates its inbox, copies the routed
+///                         rows once into a flat arena, aggregates ONLY those
+///                         rows, then encodes its partial delta as an FRWD
+///                         message (AggregateShardRoundWire: the same step
+///                         over bytes a transport delivered)
 ///   DecodeShardDelta    — the coordinator decodes each FRWD reply into a
 ///     + MergeReceived     receive slot and merges the slots by sorted-row
 ///                         union
@@ -41,7 +42,7 @@
 /// only the winner's routed rows (scaled to the round size, as the
 /// single-server rule does).
 ///
-/// All per-shard state (inboxes, routed-upload slots, aggregation workspace,
+/// All per-shard state (inboxes, decoded-row arena, aggregation workspace,
 /// delta and its wire form) is persistent and high-water sized: a
 /// steady-state round routes, aggregates and merges without heap growth
 /// (measured by the sparse-allocation hook, which the wire writers also
@@ -164,13 +165,25 @@ class ShardServer {
   }
 
  private:
+  /// One shard's decoded inbox: every routed row copied once out of the
+  /// FRWU wire into flat, high-water buffers (growth is noted as a sparse
+  /// allocation). Message m owns rows [offsets[m], offsets[m + 1]).
+  struct UploadArena {
+    std::vector<std::size_t> rows;      ///< row ids, message order
+    std::vector<float> values;          ///< rows.size() x dim, row-major
+    std::vector<std::size_t> offsets;   ///< messages + 1 entries
+    std::vector<std::uint64_t> sources; ///< wire source id per message
+  };
+
   struct ShardState {
     BinaryWriter inbox;                       ///< FRWU wire in
     BinaryWriter delta_wire;                  ///< FRWD wire out
     std::vector<std::uint32_t> route_slots;   ///< per-update routing scratch
-    std::vector<ClientUpdate> routed;         ///< decoded uploads (reused)
-    std::vector<std::uint64_t> routed_source; ///< wire source ids, parallel
-    std::size_t routed_count = 0;             ///< active prefix of `routed`
+    UploadArena arena;                        ///< decoded inbox
+    /// Duplicate-row guard, indexed by plan-local row: the stamp of the last
+    /// message that carried the row (stamps grow per decoded message).
+    std::vector<std::uint32_t> row_stamps;
+    std::uint32_t stamp = 0;
     std::size_t message_count = 0;            ///< FRWU messages this round
     AggregationWorkspace aggregation;
     SparseRoundDelta delta;
@@ -178,17 +191,25 @@ class ShardServer {
     double aggregate_seconds = 0.0;
   };
 
-  /// Decodes FRWU `wire` into shard `s`'s routed slots; validates
-  /// dimensions, ownership, strictly-ascending sources (duplicate / replayed
-  /// delivery) and — when `expected_messages` is nonzero — the message count
-  /// (boundary-truncated delivery). The in-process path passes the shard's
-  /// own inbox; the socket path passes the connection buffer.
+  /// Decodes FRWU `wire` into shard `s`'s arena; validates framing and CRC
+  /// (ParseUpload), dimensions, ownership, duplicate rows within a message,
+  /// strictly-ascending sources (duplicate / replayed delivery) and — when
+  /// `expected_messages` is nonzero — the message count (boundary-truncated
+  /// delivery). The in-process path passes the shard's own inbox; the socket
+  /// path passes the connection buffer.
   [[nodiscard]] Status DecodeInbox(ShardState& shard, std::size_t s,
                                    std::string_view wire,
                                    std::size_t expected_messages);
-  /// Aggregates shard `s`'s routed uploads into its delta.
+  /// Aggregates shard `s`'s decoded arena into its delta.
   void AggregateShard(ShardState& shard, const AggregatorOptions& options,
                       std::size_t round_size, std::uint64_t krum_source);
+  /// Plan-local index of `row`, which shard `s` owns: the offset into the
+  /// shard's contiguous range, or the row itself under kHashed.
+  std::size_t LocalRow(std::size_t s, std::size_t row) const {
+    return plan_.policy() == ShardPolicy::kContiguousRange
+               ? row - plan_.RangeBegin(s)
+               : row;
+  }
 
   ShardPlan plan_;
   std::size_t dim_;

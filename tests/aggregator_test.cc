@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -13,6 +14,17 @@
 
 namespace fedrec {
 namespace {
+
+/// Aggregates through the workspace entry point and materializes the dense
+/// num_items x dim gradient.
+Matrix AggregateDense(std::span<const ClientUpdate> updates,
+                      std::size_t num_items, std::size_t dim,
+                      const AggregatorOptions& options) {
+  AggregationWorkspace workspace;
+  SparseRoundDelta delta;
+  AggregateUpdates(updates, dim, options, workspace, delta);
+  return delta.ToDense(num_items);
+}
 
 ClientUpdate MakeUpdate(std::uint32_t user, std::size_t dim,
                         std::vector<std::pair<std::size_t, float>> entries) {
@@ -31,7 +43,7 @@ TEST(AggregatorTest, SumMatchesPaperProtocol) {
   std::vector<ClientUpdate> updates;
   updates.push_back(MakeUpdate(0, 2, {{0, 1.0f}, {1, 2.0f}}));
   updates.push_back(MakeUpdate(1, 2, {{0, 3.0f}}));
-  const Matrix total = AggregateUpdates(updates, 3, 2, options);
+  const Matrix total = AggregateDense(updates, 3, 2, options);
   EXPECT_FLOAT_EQ(total.At(0, 0), 4.0f);
   EXPECT_FLOAT_EQ(total.At(1, 0), 2.0f);
   EXPECT_FLOAT_EQ(total.At(2, 0), 0.0f);
@@ -39,7 +51,7 @@ TEST(AggregatorTest, SumMatchesPaperProtocol) {
 
 TEST(AggregatorTest, EmptyUpdatesYieldZeroGradient) {
   AggregatorOptions options;
-  const Matrix total = AggregateUpdates({}, 4, 3, options);
+  const Matrix total = AggregateDense({}, 4, 3, options);
   EXPECT_FLOAT_EQ(total.FrobeniusNorm(), 0.0f);
   EXPECT_EQ(total.rows(), 4u);
 }
@@ -54,8 +66,8 @@ TEST(AggregatorTest, SumIsPermutationInvariant) {
   b.push_back(MakeUpdate(2, 2, {{1, 5.0f}}));
   b.push_back(MakeUpdate(0, 2, {{0, 1.0f}}));
   b.push_back(MakeUpdate(1, 2, {{0, 2.0f}, {1, -1.0f}}));
-  EXPECT_TRUE(AggregateUpdates(a, 2, 2, options) ==
-              AggregateUpdates(b, 2, 2, options));
+  EXPECT_TRUE(AggregateDense(a, 2, 2, options) ==
+              AggregateDense(b, 2, 2, options));
 }
 
 TEST(AggregatorTest, MedianResistsOneOutlier) {
@@ -65,7 +77,7 @@ TEST(AggregatorTest, MedianResistsOneOutlier) {
   updates.push_back(MakeUpdate(0, 1, {{0, 1.0f}}));
   updates.push_back(MakeUpdate(1, 1, {{0, 1.2f}}));
   updates.push_back(MakeUpdate(2, 1, {{0, 100.0f}}));  // attacker
-  const Matrix total = AggregateUpdates(updates, 1, 1, options);
+  const Matrix total = AggregateDense(updates, 1, 1, options);
   // median(1, 1.2, 100) = 1.2, rescaled by 3 contributors.
   EXPECT_FLOAT_EQ(total.At(0, 0), 3.0f * 1.2f);
 }
@@ -78,7 +90,7 @@ TEST(AggregatorTest, MedianEvenCountAverageOfMiddle) {
   updates.push_back(MakeUpdate(1, 1, {{0, 2.0f}}));
   updates.push_back(MakeUpdate(2, 1, {{0, 3.0f}}));
   updates.push_back(MakeUpdate(3, 1, {{0, 4.0f}}));
-  const Matrix total = AggregateUpdates(updates, 1, 1, options);
+  const Matrix total = AggregateDense(updates, 1, 1, options);
   EXPECT_FLOAT_EQ(total.At(0, 0), 4.0f * 2.5f);
 }
 
@@ -92,7 +104,7 @@ TEST(AggregatorTest, TrimmedMeanDropsTails) {
         MakeUpdate(static_cast<std::uint32_t>(i), 1, {{0, 1.0f}}));
   }
   updates.push_back(MakeUpdate(4, 1, {{0, 1000.0f}}));  // outlier trimmed away
-  const Matrix total = AggregateUpdates(updates, 1, 1, options);
+  const Matrix total = AggregateDense(updates, 1, 1, options);
   // Sorted {1,1,1,1,1000}, trim 1 each side -> mean(1,1,1) = 1, x5 contributors.
   EXPECT_FLOAT_EQ(total.At(0, 0), 5.0f);
 }
@@ -104,7 +116,7 @@ TEST(AggregatorTest, TrimmedMeanOnlyOverContributors) {
   std::vector<ClientUpdate> updates;
   updates.push_back(MakeUpdate(0, 1, {{0, 2.0f}}));
   updates.push_back(MakeUpdate(1, 1, {{1, 6.0f}}));  // different row
-  const Matrix total = AggregateUpdates(updates, 2, 1, options);
+  const Matrix total = AggregateDense(updates, 2, 1, options);
   // Each row has exactly one contributor: robust mean = value, x1.
   EXPECT_FLOAT_EQ(total.At(0, 0), 2.0f);
   EXPECT_FLOAT_EQ(total.At(1, 0), 6.0f);
@@ -117,7 +129,7 @@ TEST(AggregatorTest, NormBoundRescalesLargeRows) {
   std::vector<ClientUpdate> updates;
   updates.push_back(MakeUpdate(0, 1, {{0, 10.0f}}));  // norm 10 -> rescaled to 1
   updates.push_back(MakeUpdate(1, 1, {{0, 0.5f}}));   // within bound
-  const Matrix total = AggregateUpdates(updates, 1, 1, options);
+  const Matrix total = AggregateDense(updates, 1, 1, options);
   EXPECT_NEAR(total.At(0, 0), 1.5f, 1e-5f);
 }
 
@@ -263,7 +275,7 @@ TEST(KrumTest, AggregateScalesSelectedByRoundSize) {
   updates.push_back(MakeUpdate(0, 1, {{0, 1.0f}}));
   updates.push_back(MakeUpdate(1, 1, {{0, 1.0f}}));
   updates.push_back(MakeUpdate(2, 1, {{0, 1.0f}}));
-  const Matrix total = AggregateUpdates(updates, 1, 1, options);
+  const Matrix total = AggregateDense(updates, 1, 1, options);
   EXPECT_FLOAT_EQ(total.At(0, 0), 3.0f);
 }
 
@@ -342,7 +354,7 @@ TEST(AggregatorBitIdentityTest, MedianMatchesSortedColumnReference) {
     const auto updates = RandomUpdates(17, 40, 5, 12, seed);
     AggregatorOptions options;
     options.kind = AggregatorKind::kMedian;
-    const Matrix actual = AggregateUpdates(updates, 40, 5, options);
+    const Matrix actual = AggregateDense(updates, 40, 5, options);
     const Matrix expected =
         ReferenceCoordinateWise(updates, 40, 5, /*median=*/true, 0.0);
     EXPECT_TRUE(actual == expected) << "seed=" << seed;
@@ -356,7 +368,7 @@ TEST(AggregatorBitIdentityTest, TrimmedMeanMatchesSortedColumnReference) {
       AggregatorOptions options;
       options.kind = AggregatorKind::kTrimmedMean;
       options.trim_fraction = trim_fraction;
-      const Matrix actual = AggregateUpdates(updates, 30, 4, options);
+      const Matrix actual = AggregateDense(updates, 30, 4, options);
       const Matrix expected = ReferenceCoordinateWise(
           updates, 30, 4, /*median=*/false, trim_fraction);
       EXPECT_TRUE(actual == expected)
@@ -373,11 +385,168 @@ TEST(AggregatorBitIdentityTest, SingleContributorRowsPassThrough) {
     AggregatorOptions options;
     options.kind =
         median ? AggregatorKind::kMedian : AggregatorKind::kTrimmedMean;
-    const Matrix actual = AggregateUpdates(updates, 100, 3, options);
+    const Matrix actual = AggregateDense(updates, 100, 3, options);
     const Matrix expected = ReferenceCoordinateWise(updates, 100, 3, median,
                                                     options.trim_fraction);
     EXPECT_TRUE(actual == expected);
   }
+}
+
+// --- Counterexample search: the sorting-network kernel vs nth_element -----
+//
+// The median / trimmed-mean kernel sorts an n x dim contributor tile with a
+// compare-exchange network. The oracle below is the per-column nth_element /
+// std::sort kernel it replaced, kept verbatim; the search drives both over
+// contributor counts 1..300, odd dimensions, every trim regime and inputs
+// built to break a sort (quantised ties, duplicated rows, +-inf, +-0).
+
+/// The replaced kernel's value for one column (already gathered).
+float OracleCoordinate(std::vector<float>& column, bool median,
+                       double trim_fraction) {
+  const std::size_t n = column.size();
+  double robust = 0.0;
+  if (median) {
+    const std::size_t mid = n / 2;
+    std::nth_element(column.begin(), column.begin() + mid, column.end());
+    if (n % 2 == 1) {
+      robust = column[mid];
+    } else {
+      const float lower =
+          *std::max_element(column.begin(), column.begin() + mid);
+      robust = 0.5 * (lower + column[mid]);
+    }
+  } else {
+    std::size_t trim = static_cast<std::size_t>(
+        std::floor(trim_fraction * static_cast<double>(n)));
+    if (2 * trim >= n) trim = (n - 1) / 2;
+    if (trim > 0) {
+      std::nth_element(column.begin(), column.begin() + trim, column.end());
+      std::nth_element(column.begin() + trim, column.begin() + (n - trim),
+                       column.end());
+    }
+    std::sort(column.begin() + trim, column.begin() + (n - trim));
+    double sum = 0.0;
+    const std::size_t kept = n - 2 * trim;
+    for (std::size_t i = trim; i < n - trim; ++i) sum += column[i];
+    robust = sum / static_cast<double>(kept);
+  }
+  return static_cast<float>(robust * static_cast<double>(n));
+}
+
+std::uint32_t FloatBits(float value) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// One contributor value in the given input regime.
+float SearchValue(Rng& rng, int regime) {
+  switch (regime) {
+    case 0:  // continuous
+      return static_cast<float>(rng.NextGaussian(0.0, 1.0));
+    case 1:  // quantised: a handful of levels, so most values tie
+      return 0.25f * static_cast<float>(rng.NextInt(-4, 4));
+    default: {  // quantised plus signed zeros and infinities
+      switch (rng.NextBounded(6)) {
+        case 0:
+          return 0.0f;
+        case 1:
+          return -0.0f;
+        case 2:
+          return std::numeric_limits<float>::infinity();
+        case 3:
+          return -std::numeric_limits<float>::infinity();
+        default:
+          return 0.5f * static_cast<float>(rng.NextInt(-2, 2));
+      }
+    }
+  }
+}
+
+TEST(CoordinateWiseSearchTest, NetworkKernelMatchesNthElementOracle) {
+  const std::size_t kDims[] = {1, 3, 8, 32, 33};
+  const double kTrims[] = {0.0, 0.1, 0.25, 0.49};
+  const std::size_t kEdgeCounts[] = {1,  2,  3,   4,   5,   7,   8,   16,
+                                     31, 32, 33,  63,  64,  65,  127, 128,
+                                     129, 255, 256, 257, 299, 300};
+  Rng rng(20261017);
+  std::size_t trials = 0;
+  std::size_t zero_ties = 0;
+  auto run_trial = [&](std::size_t n, std::size_t dim, int rule, int regime) {
+    ++trials;
+    const bool median = rule == 4;
+    AggregatorOptions options;
+    options.kind =
+        median ? AggregatorKind::kMedian : AggregatorKind::kTrimmedMean;
+    options.trim_fraction = median ? 0.0 : kTrims[rule];
+    // Row 5 gets all n contributors; row 2 a random prefix of them, so two
+    // groups of different sizes share one round.
+    const std::size_t second = 1 + rng.NextBounded(n);
+    std::vector<ClientUpdate> updates(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      updates[c].user = static_cast<std::uint32_t>(c);
+      updates[c].item_gradients = SparseRowMatrix(dim);
+      for (const std::size_t row : {std::size_t{5}, std::size_t{2}}) {
+        if (row == 2 && c >= second) continue;
+        auto values = updates[c].item_gradients.RowMutable(row);
+        // Every fourth contributor repeats an earlier contributor's row.
+        if (c > 0 && rng.NextBounded(4) == 0) {
+          const auto source =
+              updates[rng.NextBounded(c)].item_gradients.Row(row);
+          std::copy(source.begin(), source.end(), values.begin());
+          continue;
+        }
+        for (float& v : values) v = SearchValue(rng, regime);
+      }
+    }
+    AggregationWorkspace workspace;
+    SparseRoundDelta delta;
+    AggregateUpdates(updates, dim, options, workspace, delta);
+    ASSERT_EQ(delta.row_count(), 2u);
+    std::vector<float> column;
+    for (std::size_t slot = 0; slot < 2; ++slot) {
+      const std::size_t row = delta.rows()[slot];
+      for (std::size_t d = 0; d < dim; ++d) {
+        column.clear();
+        for (const ClientUpdate& update : updates) {
+          if (update.item_gradients.Contains(row)) {
+            column.push_back(update.item_gradients.Row(row)[d]);
+          }
+        }
+        const float want = OracleCoordinate(column, median, options.trim_fraction);
+        const float got = delta.RowAtSlot(slot)[d];
+        // The one documented exception: a median that selects a zero from
+        // -0.0 / +0.0 ties may return either sign, so zeros compare by
+        // value there. Everything else, NaN included, must match bitwise.
+        if (median && want == 0.0f && got == 0.0f) {
+          zero_ties += FloatBits(want) != FloatBits(got);
+          continue;
+        }
+        ASSERT_EQ(FloatBits(want), FloatBits(got))
+            << "n=" << column.size() << " dim=" << dim << " d=" << d
+            << " rule=" << (median ? "median" : "trimmed-mean")
+            << " trim=" << options.trim_fraction << " regime=" << regime
+            << " want=" << want << " got=" << got;
+      }
+    }
+  };
+  for (const std::size_t n : kEdgeCounts) {
+    for (const std::size_t dim : kDims) {
+      for (int rule = 0; rule < 5; ++rule) {
+        run_trial(n, dim, rule, static_cast<int>(rng.NextBounded(3)));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    run_trial(1 + rng.NextBounded(300), kDims[rng.NextBounded(5)],
+              static_cast<int>(rng.NextBounded(5)),
+              static_cast<int>(rng.NextBounded(3)));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(trials, 22u * 5u * 5u + 400u);
+  // Not a correctness condition: only records how often the exception fired.
+  RecordProperty("median_zero_sign_ties", static_cast<int>(zero_ties));
 }
 
 TEST(KrumTest, NormTableRewriteAgreesWithDirectDistances) {

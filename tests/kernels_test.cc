@@ -1,5 +1,6 @@
 #include "common/kernels.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -233,6 +234,32 @@ TEST(KernelsTest, ScoreBlockAgreesWithDotKernel) {
       // agreement is within rounding, not bitwise.
       EXPECT_NEAR(out[u * ni + j], via_dot, Tolerance(dim))
           << "u=" << u << " j=" << j;
+    }
+  }
+}
+
+TEST(KernelsTest, SortColumnsSortsEveryColumnLikeStdSort) {
+  // Every contributor count up to 130 (all network shapes through two
+  // power-of-two boundaries) at widths that exercise the vector body, the
+  // scalar tail and both. Values are quantised so columns are full of ties.
+  Rng rng(9);
+  for (std::size_t n = 0; n <= 130; ++n) {
+    for (const std::size_t dim : {1u, 3u, 8u, 9u, 32u, 33u}) {
+      std::vector<float> tile(n * dim);
+      for (float& v : tile) {
+        v = 0.5f * static_cast<float>(rng.NextInt(-6, 6)) + 0.25f;
+      }
+      std::vector<float> expected = tile;
+      kernels::SortColumns(tile.data(), n, dim);
+      std::vector<float> column(n);
+      for (std::size_t d = 0; d < dim; ++d) {
+        for (std::size_t i = 0; i < n; ++i) column[i] = expected[i * dim + d];
+        std::sort(column.begin(), column.end());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(tile[i * dim + d], column[i])
+              << "n=" << n << " dim=" << dim << " d=" << d << " i=" << i;
+        }
+      }
     }
   }
 }

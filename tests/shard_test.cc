@@ -415,7 +415,11 @@ TEST(ShardedRoundEngineTest, AttackFactoryUploadsFlowThroughRoutedPath) {
               sharded_sim.model().item_factors());
 }
 
-TEST(ShardedRoundEngineTest, SteadyStateRoundsAreAllocationFreeOnTheWirePath) {
+class ShardedRoundAllocationTest
+    : public ::testing::TestWithParam<AggregatorKind> {};
+
+TEST_P(ShardedRoundAllocationTest,
+       SteadyStateRoundsAreAllocationFreeOnTheWirePath) {
   SyntheticConfig data_config;
   data_config.num_users = 60;
   data_config.num_items = 90;
@@ -426,14 +430,15 @@ TEST(ShardedRoundEngineTest, SteadyStateRoundsAreAllocationFreeOnTheWirePath) {
   FedConfig config = EngineConfig();
   config.participation = ParticipationMode::kUniformPerRound;
   config.rounds_per_epoch = 8;
+  config.aggregator.kind = GetParam();
   Simulation sim(data, config, 0, nullptr, nullptr);
   const ShardPlan plan(data.num_items(), 4, ShardPolicy::kHashed);
   ShardedRoundEngine sharded(&sim.engine(), &sim.model(), &config, plan,
                              nullptr);
   // Warm every buffer's high-water mark. The sharded path needs more warm
-  // rounds than the single-server engine: a routed slot's capacity watermark
-  // depends on which client's rows hashed to which shard, so the per-shard
-  // maxima are only reached once enough distinct selections have occurred.
+  // rounds than the single-server engine: a shard arena's watermark depends
+  // on which client's rows hashed to which shard, so the per-shard maxima
+  // are only reached once enough distinct selections have occurred.
   std::size_t epoch = 0;
   for (; epoch < 20; ++epoch) {
     sharded.BeginEpoch(epoch);
@@ -447,6 +452,15 @@ TEST(ShardedRoundEngineTest, SteadyStateRoundsAreAllocationFreeOnTheWirePath) {
   EXPECT_EQ(SparseAllocationCount(), 0u);
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    Rules, ShardedRoundAllocationTest,
+    ::testing::Values(AggregatorKind::kSum, AggregatorKind::kMedian,
+                      AggregatorKind::kTrimmedMean),
+    [](const ::testing::TestParamInfo<AggregatorKind>& info) {
+      return info.param == AggregatorKind::kTrimmedMean
+                 ? std::string("trimmed_mean")
+                 : std::string(AggregatorKindToString(info.param));
+    });
 
 TEST(ShardServerTest, DuplicateDeliveryFailsLoudly) {
   // Whole-inbox duplication (the kDuplicate wire fault) re-delivers every
@@ -464,6 +478,104 @@ TEST(ShardServerTest, DuplicateDeliveryFailsLoudly) {
   const Status status = server.AggregateShardRound(
       0, AggregatorOptions{}, updates.size(), /*krum_source=*/0);
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
+}
+
+// --- Shard-path decode: the flat-arena parser's own corruption surface -----
+
+/// A 2-message inbox for shard 0 of a 2-shard plan over 40 items: uploads 3
+/// and 8 of a round, both carrying row 4 (a row may repeat across messages).
+std::string TwoMessageInbox(std::size_t dim) {
+  BinaryWriter inbox;
+  SparseRowMatrix first(dim);
+  SparseRowMatrix second(dim);
+  for (const std::size_t row : {4u, 11u, 0u}) {
+    for (float& v : first.RowMutable(row)) v = 0.25f * static_cast<float>(row);
+  }
+  for (const std::size_t row : {19u, 4u}) {
+    for (float& v : second.RowMutable(row)) v = -0.5f;
+  }
+  EncodeUpload(first, /*source=*/3, inbox);
+  EncodeUpload(second, /*source=*/8, inbox);
+  return inbox.buffer();
+}
+
+TEST(ShardDecodeTest, SameRowInTwoMessagesIsAccepted) {
+  const std::size_t dim = 3;
+  const ShardPlan plan(40, 2, ShardPolicy::kContiguousRange);
+  ShardServer server(plan, dim);
+  const std::string inbox = TwoMessageInbox(dim);
+  AggregatorOptions options;  // sum
+  ASSERT_TRUE(server.AggregateShardRoundWire(0, inbox, 2, options, 2, 0).ok());
+  const SparseRoundDelta& delta = server.shard_delta(0);
+  ASSERT_EQ(delta.row_count(), 4u);
+  EXPECT_EQ(delta.rows()[1], 4u);
+  EXPECT_EQ(delta.RowAtSlot(1)[0], 1.0f - 0.5f);
+}
+
+TEST(ShardDecodeTest, DuplicateRowWithinOneMessageFails) {
+  const std::size_t dim = 3;
+  for (const ShardPolicy policy :
+       {ShardPolicy::kContiguousRange, ShardPolicy::kHashed}) {
+    const ShardPlan plan(40, 2, policy);
+    ShardServer server(plan, dim);
+    std::size_t owned = 5;
+    while (plan.ShardOf(owned) != 1) ++owned;
+    SparseRowMatrix upload(dim);
+    upload.RowMutable(owned)[0] = 1.0f;
+    // Slot 0 listed twice: a well-framed message with a valid CRC that
+    // carries the same row twice.
+    const std::uint32_t slots[] = {0, 0};
+    BinaryWriter inbox;
+    EncodeUpload(upload, /*source=*/1, slots, inbox);
+    const Status status = server.AggregateShardRoundWire(
+        1, inbox.buffer(), 1, AggregatorOptions{}, 1, 0);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption)
+        << ShardPolicyToString(policy);
+    EXPECT_NE(status.ToString().find("duplicate row"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST(ShardDecodeTest, EveryByteFlipOfATwoMessageInboxFails) {
+  const std::size_t dim = 3;
+  const ShardPlan plan(40, 2, ShardPolicy::kContiguousRange);
+  ShardServer server(plan, dim);
+  const std::string inbox = TwoMessageInbox(dim);
+  for (std::size_t offset = 0; offset < inbox.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupted = inbox;
+      corrupted[offset] = static_cast<char>(
+          static_cast<unsigned char>(corrupted[offset]) ^ (1u << bit));
+      for (const AggregatorKind kind :
+           {AggregatorKind::kSum, AggregatorKind::kMedian}) {
+        AggregatorOptions options;
+        options.kind = kind;
+        const Status status =
+            server.AggregateShardRoundWire(0, corrupted, 2, options, 2, 0);
+        ASSERT_EQ(status.code(), StatusCode::kCorruption)
+            << "flip of byte " << offset << " bit " << bit;
+      }
+    }
+  }
+  // The pristine inbox still aggregates on the same (reused) server.
+  EXPECT_TRUE(
+      server.AggregateShardRoundWire(0, inbox, 2, AggregatorOptions{}, 2, 0)
+          .ok());
+}
+
+TEST(ShardDecodeTest, EveryTruncationOfATwoMessageInboxFails) {
+  const std::size_t dim = 3;
+  const ShardPlan plan(40, 2, ShardPolicy::kContiguousRange);
+  ShardServer server(plan, dim);
+  const std::string inbox = TwoMessageInbox(dim);
+  // Prefix 0 is an empty delivery and the first message's end a clean
+  // boundary: the expected message count is what rejects those two.
+  for (std::size_t keep = 0; keep < inbox.size(); ++keep) {
+    const Status status = server.AggregateShardRoundWire(
+        0, std::string_view(inbox.data(), keep), 2, AggregatorOptions{}, 2,
+        0);
+    ASSERT_EQ(status.code(), StatusCode::kCorruption) << "prefix " << keep;
+  }
 }
 
 }  // namespace

@@ -140,5 +140,40 @@ TEST(MemberParallelForTest, SingleWorkerPoolRunsInlineInOrder) {
   EXPECT_EQ(order, (std::vector<int>{2, 3, 4, 5, 6}));
 }
 
+TEST(ThreadPoolDeathTest, ParallelForFromAWorkerAbortsInsteadOfDeadlocking) {
+  // A worker's own task counts as in flight, so a nested ParallelFor (or
+  // Wait) on the same pool would wait for itself forever. It must abort.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.Submit([&pool] {
+          pool.ParallelFor(0, 8, 1, [](std::size_t) {});
+        });
+        pool.Wait();
+      },
+      "own workers");
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(1);
+        pool.Submit([&pool] { ParallelFor(&pool, 1, [](std::size_t) {}); });
+        pool.Wait();
+      },
+      "own workers");
+}
+
+TEST(ThreadPoolTest, WorkersMayDriveAnotherPool) {
+  // The rule is per pool: a worker of one pool fanning out on another is
+  // fine (the outer task waits on workers it does not occupy).
+  ThreadPool outer(2);
+  ThreadPool inner(2);
+  std::atomic<int> calls{0};
+  outer.Submit([&] {
+    inner.ParallelFor(0, 6, 1, [&](std::size_t) { calls.fetch_add(1); });
+  });
+  outer.Wait();
+  EXPECT_EQ(calls.load(), 6);
+}
+
 }  // namespace
 }  // namespace fedrec

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +56,76 @@ TEST(Crc32Test, MatchesTheIeeeCheckVector) {
   const std::uint32_t head = Crc32(0, check, 4);
   EXPECT_EQ(Crc32(head, check + 4, 5), 0xCBF43926u);
   EXPECT_EQ(Crc32(0, nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, FoldedAndTablePathsAgreeOnEveryLengthAndAlignment) {
+  // Every length 0..4096 (below, at and across the 64-byte fold threshold
+  // and every 16-byte tail) at every start offset within a 16-byte block,
+  // each from a random seed. Crc32 itself must agree too, whichever path it
+  // dispatched to.
+  Rng rng(31);
+  std::vector<unsigned char> buffer(4096 + 16);
+  for (auto& b : buffer) b = static_cast<unsigned char>(rng.NextBounded(256));
+  const bool folded = HasFoldedCrc32();
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 4096; ++length) {
+      const auto seed = static_cast<std::uint32_t>(rng.Next());
+      const unsigned char* data = buffer.data() + offset;
+      const std::uint32_t reference = Crc32Table(seed, data, length);
+      ASSERT_EQ(Crc32(seed, data, length), reference)
+          << "offset " << offset << " length " << length;
+      if (folded) {
+        ASSERT_EQ(Crc32Folded(seed, data, length), reference)
+            << "offset " << offset << " length " << length;
+      }
+    }
+  }
+#if defined(__x86_64__)
+  // Every x86-64 host this project targets has PCLMULQDQ; a silent fallback
+  // to the table would leave the folded path untested.
+  EXPECT_TRUE(folded);
+#endif
+}
+
+TEST(Crc32Test, ConcurrentFirstCallsAgree) {
+  // Shard threads reach the run-time dispatch concurrently; every thread
+  // must see one decision and the same checksum.
+  std::vector<unsigned char> buffer(3000);
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  const std::uint32_t expected = Crc32Table(0, buffer.data(), buffer.size());
+  std::vector<std::uint32_t> results(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    threads.emplace_back([&, t] {
+      results[t] = Crc32(0, buffer.data(), buffer.size());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::uint32_t result : results) EXPECT_EQ(result, expected);
+}
+
+TEST(WireUploadTest, ParseUploadViewsTheRowsInPlace) {
+  const SparseRowMatrix upload = MakeUpload(3, {9, 2, 30}, 4);
+  BinaryWriter writer;
+  EncodeUpload(upload, /*source=*/12, writer);
+  BinaryReader reader = BinaryReader::View(writer.buffer());
+  Result<UploadView> parsed = ParseUpload(reader);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(reader.exhausted());
+  const UploadView& view = parsed.value();
+  EXPECT_EQ(view.source, 12u);
+  ASSERT_EQ(view.cols, 3u);
+  ASSERT_EQ(view.row_count, 3u);
+  for (std::size_t i = 0; i < view.row_count; ++i) {
+    EXPECT_EQ(view.RowId(i), upload.row_ids()[i]);
+    float values[3];
+    view.CopyRow(i, values);
+    for (std::size_t d = 0; d < 3; ++d) {
+      EXPECT_EQ(values[d], upload.RowAtSlot(i)[d]);
+    }
+  }
 }
 
 TEST(WireUploadTest, RoundTripsAllRows) {
