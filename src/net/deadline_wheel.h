@@ -18,8 +18,8 @@
 /// inserts again — the entry table is the single source of truth.
 ///
 /// The wheel never reads a clock: callers pass `now_ms` (MonotonicMillis in
-/// the daemons, a hand-advanced counter in tests), keeping src/net free of
-/// time sources and the expiry logic deterministic under test.
+/// FrameServer, a hand-advanced counter in tests), keeping the wheel free of
+/// time sources and its expiry logic deterministic under test.
 
 namespace fedrec {
 

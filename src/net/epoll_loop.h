@@ -10,7 +10,7 @@
 #include "common/status.h"
 
 /// \file
-/// Thin epoll wrapper for the shard daemon and the federation coordinator:
+/// Thin epoll wrapper for FrameServer (the serving loop) and ChaosProxy:
 /// level-triggered readiness over a retained event buffer. Level-triggered
 /// (the default) keeps the consumers simple — a frame left unparsed because
 /// a round was mid-flight re-arms on the next Wait instead of being lost the

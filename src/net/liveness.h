@@ -4,10 +4,11 @@
 #include <cstdint>
 
 /// \file
-/// Liveness policy for the serving loops: pure functions from per-peer
-/// activity timestamps to deadline decisions. The daemons keep one
-/// PeerLiveness per connection, arm a DeadlineWheel at NextLivenessDeadline,
-/// and on expiry act on ClassifyDeadline's verdict:
+/// Liveness policy for the serving loop: pure functions from per-peer
+/// activity timestamps to deadline decisions. FrameServer — the one loop
+/// behind fedrec_shardd and FederationService — keeps one PeerLiveness per
+/// connection, arms a DeadlineWheel at NextLivenessDeadline, and on expiry
+/// acts on ClassifyDeadline's verdict:
 ///
 ///   kSlowRead — a frame has been partially buffered longer than the read
 ///               deadline: a trickling (or malicious) peer is holding

@@ -9,7 +9,7 @@
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "fed/simulation.h"
-#include "net/stats_listener.h"
+#include "net/frame_server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "shard/checkpoint.h"
@@ -91,17 +91,22 @@ int FederationCoordinator::Run() {
     // coverage; older spans are overwritten, never reallocated.
     obs::TraceRing::Global().Enable(1u << 15);
   }
-  StatsListener stats_listener;
+  // --stats-port: the shared serving loop with no protocol handler, on its
+  // own thread. Scrapes are observe-only — the loop reads the registry's
+  // atomics and never touches round state — so they cannot perturb the run.
+  FrameServer::Options stats_options;
+  stats_options.port = options_.stats_port;
+  FrameServer stats_server(stats_options);
   if (options_.stats_port != 0) {
-    const Status started =
-        stats_listener.Start("127.0.0.1", options_.stats_port);
+    const Status started = stats_server.Listen();
     if (!started.ok()) {
       std::printf("stats listener failed: %s\n", started.ToString().c_str());
       return 1;
     }
     std::printf("stats listening on %u\n",
-                static_cast<unsigned>(stats_listener.port()));
+                static_cast<unsigned>(stats_server.port()));
     std::fflush(stdout);
+    stats_server.RunOnThread();
   }
   const auto dump_observability = [&]() {
     if (!options_.metrics_dump.empty()) {

@@ -1,37 +1,44 @@
 #include "shard/shard_daemon.h"
 
-#include <unistd.h>
-
 #include <array>
-#include <chrono>
-#include <thread>
 #include <utility>
-
-#include "common/stopwatch.h"
 
 namespace fedrec {
 
 namespace {
 
-/// Socket reads land in chunks of this size; each connection's frame buffer
-/// high-waters at the largest delivery plus one chunk.
-constexpr std::size_t kReadChunk = 64 * 1024;
+FrameServer::Options LoopOptions(const ShardDaemon::Options& options,
+                                 const std::string& label) {
+  FrameServer::Options loop;
+  loop.host = options.host;
+  loop.port = options.port;
+  loop.liveness = options.liveness;
+  loop.max_frame_payload = options.max_frame_payload;
+  loop.max_frames_per_drain = options.max_frames_per_drain;
+  loop.serve_buffered_on_stop = true;
+  loop.metric_prefix = "fedrec_shardd_";
+  loop.metric_label = label;
+  loop.rtt_label = label;
+  return loop;
+}
 
-/// Cap on the poll timeout while deadlines are armed, so a clock hiccup can
-/// never park the loop much past the next wheel revolution.
-constexpr std::uint64_t kMaxWaitMs = 60 * 1000;
-
-/// SIGTERM drain budget: flush attempts per connection, 1 ms apart.
-constexpr int kDrainFlushAttempts = 200;
+/// The shard label keeps co-located daemons distinguishable.
+std::string ShardLabel(std::uint64_t shard_index) {
+  std::string label = "shard=\"";
+  label += std::to_string(shard_index);
+  label += '"';
+  return label;
+}
 
 }  // namespace
 
-ShardDaemon::ShardDaemon(Options options) : options_(std::move(options)) {
+ShardDaemon::ShardDaemon(Options options)
+    : options_(std::move(options)),
+      loop_(LoopOptions(options_, ShardLabel(options_.shard_index)), this,
+            &stats_) {
   // One-time metric registration (allocates label strings; never on the
-  // serving path). The shard label keeps co-located daemons distinguishable.
-  std::string label = "shard=\"";
-  label += std::to_string(options_.shard_index);
-  label += '"';
+  // serving path).
+  const std::string label = ShardLabel(options_.shard_index);
   obs::Registry& registry = obs::Registry::Global();
   metrics_.rounds_served =
       registry.GetGauge("fedrec_shardd_rounds_served", label);
@@ -39,257 +46,17 @@ ShardDaemon::ShardDaemon(Options options) : options_(std::move(options)) {
       registry.GetGauge("fedrec_shardd_hellos_accepted", label);
   metrics_.hellos_rejected =
       registry.GetGauge("fedrec_shardd_hellos_rejected", label);
-  metrics_.connections_accepted =
-      registry.GetGauge("fedrec_shardd_connections_accepted", label);
   metrics_.recoverable_errors =
       registry.GetGauge("fedrec_shardd_recoverable_errors", label);
-  metrics_.heartbeats_sent =
-      registry.GetGauge("fedrec_shardd_heartbeats_sent", label);
-  metrics_.peers_reaped =
-      registry.GetGauge("fedrec_shardd_peers_reaped", label);
-  metrics_.slow_reads_closed =
-      registry.GetGauge("fedrec_shardd_slow_reads_closed", label);
-  metrics_.drain_deferrals =
-      registry.GetGauge("fedrec_shardd_drain_deferrals", label);
-  metrics_.heartbeat_rtt_ms =
-      registry.GetHistogram("fedrec_heartbeat_rtt_ms", label);
-  int pipe_fds[2];
-  FEDREC_CHECK_EQ(::pipe(pipe_fds), 0) << "self-pipe creation failed";
-  wake_read_ = pipe_fds[0];
-  wake_write_ = pipe_fds[1];
-  SetNonBlocking(wake_read_).CheckOK();
-  SetNonBlocking(wake_write_).CheckOK();
 }
 
-ShardDaemon::~ShardDaemon() {
-  for (std::unique_ptr<Connection>& conn : conns_) {
-    if (conn != nullptr) CloseSocket(conn->fd);
-  }
-  CloseSocket(listen_fd_);
-  CloseSocket(wake_read_);
-  CloseSocket(wake_write_);
-}
-
-Status ShardDaemon::Listen() {
-  FEDREC_CHECK(listen_fd_ < 0) << "Listen() called twice";
-  Result<int> fd = TcpListen(options_.host, options_.port, /*backlog=*/128);
-  if (!fd.ok()) return fd.status();
-  listen_fd_ = fd.value();
-  Status status = SetNonBlocking(listen_fd_);
-  if (status.ok()) {
-    Result<std::uint16_t> bound = BoundPort(listen_fd_);
-    if (bound.ok()) {
-      port_ = bound.value();
-    } else {
-      status = bound.status();
-    }
-  }
-  if (!status.ok()) CloseSocket(listen_fd_);
-  return status;
-}
-
-void ShardDaemon::RequestStop() {
-  stop_.store(true, std::memory_order_release);
-  const char byte = 0;
-  const ssize_t written = ::write(wake_write_, &byte, 1);
-  (void)written;  // a full pipe already guarantees a pending wakeup
-}
-
-int ShardDaemon::NextWaitTimeout() const {
-  if (!deferred_.empty()) return 0;  // buffered frames are ready work
-  std::uint64_t next = 0;
-  if (!wheel_.NextDeadline(next)) return -1;
-  const std::uint64_t now = MonotonicMillis();
-  if (next <= now) return 0;
-  const std::uint64_t gap = next - now;
-  return static_cast<int>(gap < kMaxWaitMs ? gap : kMaxWaitMs);
-}
-
-void ShardDaemon::Run() {
-  FEDREC_CHECK(listen_fd_ >= 0) << "Listen() must succeed before Run()";
-  loop_.Watch(listen_fd_, EPOLLIN, static_cast<std::uint64_t>(listen_fd_))
-      .CheckOK();
-  loop_.Watch(wake_read_, EPOLLIN, static_cast<std::uint64_t>(wake_read_))
-      .CheckOK();
-  while (!stop_.load(std::memory_order_acquire)) {
-    const std::span<const epoll_event> events = loop_.Wait(NextWaitTimeout());
-    for (const epoll_event& event : events) {
-      const int fd = static_cast<int>(event.data.u64);
-      if (fd == wake_read_) {
-        char drain[64];
-        while (::read(wake_read_, drain, sizeof(drain)) > 0) {
-        }
-        continue;  // stop_ is checked by the loop condition
-      }
-      if (fd == listen_fd_) {
-        AcceptPending();
-        continue;
-      }
-      HandleConnectionEvent(fd, event.events);
-    }
-    if (wheel_.armed_count() > 0) {
-      const std::uint64_t now = MonotonicMillis();
-      due_.clear();
-      wheel_.ExpireDue(now, due_);
-      for (const std::uint64_t tag : due_) {
-        HandleDeadline(static_cast<int>(tag), now);
-      }
-    }
-    if (!deferred_.empty()) {
-      // Serve the fds whose drain was cut short last turn, after fresh
-      // socket events — round-robin fairness between busy connections.
-      deferred_scratch_.swap(deferred_);
-      for (const int fd : deferred_scratch_) {
-        ServeBufferedFrames(fd, /*drain_all=*/false);
-      }
-      deferred_scratch_.clear();
-    }
-  }
-  DrainOnStop();
-  // Leave connections to the destructor (a stopped daemon may still be
-  // inspected); deregister the long-lived fds so Run() can be re-entered.
-  loop_.Remove(listen_fd_);
-  loop_.Remove(wake_read_);
-}
-
-void ShardDaemon::AcceptPending() {
-  for (;;) {
-    int fd = -1;
-    if (!TcpAccept(listen_fd_, fd).ok()) return;
-    if (fd < 0) return;  // backlog drained
-    if (!SetNonBlocking(fd).ok()) {
-      CloseSocket(fd);
-      continue;
-    }
-    if (static_cast<std::size_t>(fd) >= conns_.size()) {
-      conns_.resize(static_cast<std::size_t>(fd) + 1);
-    }
-    std::unique_ptr<Connection>& slot = conns_[static_cast<std::size_t>(fd)];
-    if (slot == nullptr) slot = std::make_unique<Connection>();
-    slot->fd = fd;
-    slot->reader.Reset();
-    slot->reader.set_max_payload(options_.max_frame_payload);
-    slot->out.Reset();
-    slot->helloed = false;
-    slot->out_armed = false;
-    slot->live = PeerLiveness{};
-    if (!loop_.Watch(fd, EPOLLIN, static_cast<std::uint64_t>(fd)).ok()) {
-      CloseSocket(slot->fd);
-      continue;
-    }
-    if (options_.liveness.enabled()) {
-      slot->live.last_activity_ms = MonotonicMillis();
-      ArmLiveness(*slot);
-    }
-    ++stats_.connections_accepted;
-  }
-}
-
-void ShardDaemon::HandleConnectionEvent(int fd, std::uint32_t events) {
-  if (static_cast<std::size_t>(fd) >= conns_.size()) return;
-  Connection* conn = conns_[static_cast<std::size_t>(fd)].get();
-  if (conn == nullptr || conn->fd != fd) return;  // stale event after close
-  if ((events & EPOLLOUT) != 0 && !FlushConnection(*conn)) {
-    CloseConnection(fd);
-    return;
-  }
-  if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) == 0) return;
-
-  // Drain the socket into the connection's reassembly buffer, then serve
-  // every complete frame. A peer close is honoured only after the buffered
-  // frames are served, so a shutdown frame followed by close still lands.
-  bool peer_closed = false;
-  std::size_t received = 0;
-  for (;;) {
-    char* tail = conn->reader.PrepareWrite(kReadChunk);
-    ReadOutcome outcome;
-    if (!ReadSome(fd, tail, conn->reader.writable(), outcome).ok()) {
-      CloseConnection(fd);
-      return;
-    }
-    conn->reader.CommitWrite(outcome.bytes);
-    received += outcome.bytes;
-    if (outcome.eof) {
-      peer_closed = true;
-      break;
-    }
-    if (outcome.would_block) break;
-  }
-  if (options_.liveness.enabled() && received > 0) {
-    // Any inbound byte is proof of life: reset the silence window and allow
-    // the next idle gap its own (single) probe.
-    const std::uint64_t now = MonotonicMillis();
-    if (conn->live.probe_sent && now >= conn->live.probe_sent_ms) {
-      // First activity after a probe ~ probe round trip (observe-only).
-      metrics_.heartbeat_rtt_ms->Observe(now - conn->live.probe_sent_ms);
-    }
-    conn->live.last_activity_ms = now;
-    conn->live.probe_sent = false;
-  }
-  // A closing peer gets its buffered frames served in full (nothing more is
-  // coming, so fairness deferral would strand them).
-  ServeBufferedFrames(fd, /*drain_all=*/peer_closed);
-  if (conn->fd != fd) return;  // serving closed the connection
-  if (peer_closed) {
-    CloseConnection(fd);
-    return;
-  }
-  if (options_.liveness.enabled()) {
-    // Track the age of a partially buffered frame for the read deadline.
-    if (conn->reader.pending() > 0) {
-      if (conn->live.read_start_ms == 0) {
-        conn->live.read_start_ms = MonotonicMillis();
-      }
-    } else {
-      conn->live.read_start_ms = 0;
-    }
-    ArmLiveness(*conn);
-  }
-}
-
-void ShardDaemon::ServeBufferedFrames(int fd, bool drain_all) {
-  if (static_cast<std::size_t>(fd) >= conns_.size()) return;
-  Connection* conn = conns_[static_cast<std::size_t>(fd)].get();
-  if (conn == nullptr || conn->fd != fd) return;  // closed since queued
-  std::size_t served = 0;
-  for (;;) {
-    if (!drain_all && options_.max_frames_per_drain != 0 &&
-        served >= options_.max_frames_per_drain) {
-      // Yield: other connections get the loop before this one's backlog.
-      ++stats_.drain_deferrals;
-      deferred_.push_back(fd);
-      return;
-    }
-    FrameView frame;
-    bool has_frame = false;
-    if (!conn->reader.Next(frame, has_frame).ok()) {
-      CloseConnection(fd);  // unframeable bytes: nothing left to trust
-      return;
-    }
-    if (!has_frame) return;
-    ++served;
-    if (!HandleFrame(*conn, frame)) {
-      CloseConnection(fd);
-      return;
-    }
-  }
-}
-
-bool ShardDaemon::HandleFrame(Connection& conn, const FrameView& frame) {
+bool ShardDaemon::HandleFrame(PeerId peer, const FrameView& frame) {
   switch (frame.type) {
     case FrameType::kHello:
-      return HandleHello(conn, frame.payload);
+      return HandleHello(peer, frame.payload);
     case FrameType::kShardRound:
-      if (!conn.helloed) return false;
-      return HandleRound(conn, frame.payload);
-    case FrameType::kShutdown:
-      stop_.store(true, std::memory_order_release);
-      return true;
-    case FrameType::kHeartbeat:
-      // Proof of life only; the byte-level activity refresh already ran.
-      return true;
-    case FrameType::kStatsRequest:
-      return HandleStatsRequest(conn);
+      if (!Helloed(peer)) return false;
+      return HandleRound(peer, frame.payload);
     default:
       return false;  // a shardd receives only the types above
   }
@@ -302,43 +69,25 @@ void ShardDaemon::PublishStats() {
       static_cast<std::int64_t>(stats_.hellos_accepted));
   metrics_.hellos_rejected->Set(
       static_cast<std::int64_t>(stats_.hellos_rejected));
-  metrics_.connections_accepted->Set(
-      static_cast<std::int64_t>(stats_.connections_accepted));
   metrics_.recoverable_errors->Set(
       static_cast<std::int64_t>(stats_.recoverable_errors));
-  metrics_.heartbeats_sent->Set(
-      static_cast<std::int64_t>(stats_.heartbeats_sent));
-  metrics_.peers_reaped->Set(static_cast<std::int64_t>(stats_.peers_reaped));
-  metrics_.slow_reads_closed->Set(
-      static_cast<std::int64_t>(stats_.slow_reads_closed));
-  metrics_.drain_deferrals->Set(
-      static_cast<std::int64_t>(stats_.drain_deferrals));
 }
 
-bool ShardDaemon::HandleStatsRequest(Connection& conn) {
-  PublishStats();
-  stats_text_.clear();
-  obs::Registry::Global().RenderText(stats_text_);
-  const std::array<std::string_view, 1> pieces = {
-      std::string_view(stats_text_)};
-  conn.out.AppendFrame(FrameType::kStatsReply, pieces);
-  return FlushConnection(conn);
-}
-
-bool ShardDaemon::HandleHello(Connection& conn, std::string_view payload) {
+bool ShardDaemon::HandleHello(PeerId peer, std::string_view payload) {
   ShardHello hello;
   Status status = DecodeHello(payload, hello);
   if (status.ok()) status = CheckHello(hello);
   if (!status.ok()) {
     ++stats_.hellos_rejected;
-    SendError(conn, status);
-    (void)FlushConnection(conn);  // best-effort delivery of the rejection
+    SendError(peer, status);  // best-effort delivery of the rejection
     return false;
   }
-  conn.helloed = true;
+  const std::size_t slot = static_cast<std::size_t>(peer.fd);
+  if (slot >= helloed_.size()) helloed_.resize(slot + 1, 0);
+  helloed_[slot] = peer.generation;
   ++stats_.hellos_accepted;
-  conn.out.AppendFrame(FrameType::kHelloAck, {});
-  return FlushConnection(conn);
+  loop_.Send(peer, FrameType::kHelloAck, {});
+  return true;
 }
 
 Status ShardDaemon::CheckHello(const ShardHello& hello) {
@@ -380,7 +129,7 @@ Status ShardDaemon::CheckHello(const ShardHello& hello) {
 // fedrec:hot — steady-state serving: the delivery is decoded in place from
 // the connection's reassembly buffer, aggregated, and the retained FRWD
 // reply staged for send; no copies of the inbox bytes, no heap growth.
-bool ShardDaemon::HandleRound(Connection& conn, std::string_view payload) {
+bool ShardDaemon::HandleRound(PeerId peer, std::string_view payload) {
   const std::size_t shard = static_cast<std::size_t>(options_.shard_index);
   ShardRoundHeader header;
   std::string_view inbox_wire;
@@ -403,112 +152,22 @@ bool ShardDaemon::HandleRound(Connection& conn, std::string_view payload) {
     // Recoverable: report the failure and keep serving — the coordinator's
     // retry path resends, and its retries exhaust into a local fallback.
     ++stats_.recoverable_errors;
-    SendError(conn, status);
-    return FlushConnection(conn);
+    SendError(peer, status);
+    return true;
   }
   ++stats_.rounds_served;
   const std::array<std::string_view, 1> pieces = {
       std::string_view(server_->delta_wire(shard))};
-  conn.out.AppendFrame(FrameType::kShardDelta, pieces);
-  return FlushConnection(conn);
+  loop_.Send(peer, FrameType::kShardDelta, pieces);
+  return true;
 }
 
-void ShardDaemon::SendError(Connection& conn, const Status& status) {
+void ShardDaemon::SendError(PeerId peer, const Status& status) {
   scratch_.Clear();
   EncodeErrorPayload(status, scratch_);
   const std::array<std::string_view, 1> pieces = {
       std::string_view(scratch_.buffer())};
-  conn.out.AppendFrame(FrameType::kError, pieces);
-}
-
-bool ShardDaemon::FlushConnection(Connection& conn) {
-  bool blocked = false;
-  if (!conn.out.Flush(conn.fd, blocked).ok()) return false;
-  if (blocked != conn.out_armed) {
-    const std::uint32_t events =
-        blocked ? (EPOLLIN | EPOLLOUT) : static_cast<std::uint32_t>(EPOLLIN);
-    if (!loop_.Modify(conn.fd, events, static_cast<std::uint64_t>(conn.fd))
-             .ok()) {
-      return false;
-    }
-    conn.out_armed = blocked;
-  }
-  return true;
-}
-
-void ShardDaemon::CloseConnection(int fd) {
-  Connection* conn = conns_[static_cast<std::size_t>(fd)].get();
-  loop_.Remove(fd);
-  wheel_.Disarm(static_cast<std::uint64_t>(fd));
-  CloseSocket(conn->fd);
-  conn->reader.Reset();
-  conn->out.Reset();
-  conn->helloed = false;
-  conn->out_armed = false;
-  conn->live = PeerLiveness{};
-}
-
-// fedrec:hot — re-armed on every inbound byte of every connection.
-void ShardDaemon::ArmLiveness(Connection& conn) {
-  const std::uint64_t tag = static_cast<std::uint64_t>(conn.fd);
-  const std::uint64_t next = NextLivenessDeadline(options_.liveness, conn.live);
-  if (next == 0) {
-    wheel_.Disarm(tag);
-  } else {
-    wheel_.Arm(tag, next);
-  }
-}
-
-void ShardDaemon::HandleDeadline(int fd, std::uint64_t now_ms) {
-  if (static_cast<std::size_t>(fd) >= conns_.size()) return;
-  Connection* conn = conns_[static_cast<std::size_t>(fd)].get();
-  if (conn == nullptr || conn->fd != fd) return;  // closed since expiry
-  switch (ClassifyDeadline(options_.liveness, conn->live, now_ms)) {
-    case LivenessVerdict::kSlowRead:
-      // A frame has trickled for longer than the read deadline: the peer is
-      // holding reassembly state hostage (half-open or malicious).
-      ++stats_.slow_reads_closed;
-      CloseConnection(fd);
-      return;
-    case LivenessVerdict::kReap:
-      ++stats_.peers_reaped;
-      CloseConnection(fd);
-      return;
-    case LivenessVerdict::kProbe:
-      conn->live.probe_sent = true;
-      conn->live.probe_sent_ms = now_ms;
-      ++stats_.heartbeats_sent;
-      conn->out.AppendFrame(FrameType::kHeartbeat, {});
-      if (!FlushConnection(*conn)) {
-        CloseConnection(fd);
-        return;
-      }
-      break;
-    case LivenessVerdict::kNone:
-      break;  // state changed between arming and expiry
-  }
-  ArmLiveness(*conn);
-}
-
-void ShardDaemon::DrainOnStop() {
-  // Orderly-stop drain (SIGTERM / kShutdown): every already-buffered frame
-  // is served — its reply joins the send queue — and each connection then
-  // gets a bounded window to flush. No new bytes are read; a coordinator
-  // mid-request sees an orderly close and retries elsewhere.
-  for (std::unique_ptr<Connection>& slot : conns_) {
-    if (slot == nullptr || slot->fd < 0) continue;
-    const int fd = slot->fd;
-    ServeBufferedFrames(fd, /*drain_all=*/true);
-    if (slot->fd != fd) continue;  // serving closed the connection
-    for (int attempt = 0; attempt < kDrainFlushAttempts; ++attempt) {
-      if (slot->out.empty()) break;
-      bool blocked = false;
-      if (!slot->out.Flush(slot->fd, blocked).ok()) break;
-      if (blocked) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-  }
+  loop_.Send(peer, FrameType::kError, pieces);
 }
 
 }  // namespace fedrec

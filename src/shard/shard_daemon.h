@@ -1,7 +1,6 @@
 #ifndef FEDREC_SHARD_SHARD_DAEMON_H_
 #define FEDREC_SHARD_SHARD_DAEMON_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -9,20 +8,18 @@
 #include <vector>
 
 #include "common/status.h"
-#include "net/deadline_wheel.h"
+#include "data/serialize.h"
+#include "net/frame_server.h"
 #include "obs/metrics.h"
-#include "net/epoll_loop.h"
-#include "net/frame.h"
-#include "net/liveness.h"
-#include "net/socket.h"
 #include "shard/shard_protocol.h"
 #include "shard/shard_server.h"
 
 /// \file
-/// ShardDaemon: the serving loop behind the fedrec_shardd binary. One
-/// process (or thread, in tests) owns one shard's compute: a nonblocking
-/// epoll event loop accepts coordinator connections, reassembles length-
-/// framed deliveries from reused per-connection buffers, runs the shard's
+/// ShardDaemon: the protocol behind the fedrec_shardd binary. One process
+/// (or thread, in tests) owns one shard's compute: a FrameServer (the shared
+/// nonblocking serving loop, net/frame_server.h) accepts coordinator
+/// connections and reassembles length-framed deliveries from reused
+/// per-connection buffers; the daemon runs the shard's
 /// decode + aggregate + FRWD re-encode step in place on those bytes (the
 /// same `// fedrec:hot` codec path the in-process deployment runs), and
 /// streams the reply back through a short-write-safe send queue. Steady
@@ -40,7 +37,7 @@
 
 namespace fedrec {
 
-class ShardDaemon {
+class ShardDaemon : private FrameServer::Handler {
  public:
   struct Options {
     std::string host = "127.0.0.1";
@@ -57,120 +54,71 @@ class ShardDaemon {
     std::size_t max_frames_per_drain = 64;
   };
 
-  struct Stats {
+  /// Serving counters; the inherited ServingStats are the loop's.
+  struct Stats : ServingStats {
     std::uint64_t rounds_served = 0;
     std::uint64_t hellos_accepted = 0;
     std::uint64_t hellos_rejected = 0;
-    std::uint64_t connections_accepted = 0;
     std::uint64_t recoverable_errors = 0;  ///< kError replies sent
-    std::uint64_t heartbeats_sent = 0;     ///< idle probes emitted
-    std::uint64_t peers_reaped = 0;        ///< half-open connections closed
-    std::uint64_t slow_reads_closed = 0;   ///< partial-frame deadline closes
-    std::uint64_t drain_deferrals = 0;     ///< fairness yields mid-drain
   };
 
   explicit ShardDaemon(Options options);
-  ~ShardDaemon();
   ShardDaemon(const ShardDaemon&) = delete;
   ShardDaemon& operator=(const ShardDaemon&) = delete;
 
   /// Binds and listens; after OK, port() is the bound port. Run() may then
   /// be called (possibly on another thread) — connects issued in between
   /// queue in the listen backlog.
-  [[nodiscard]] Status Listen();
-  std::uint16_t port() const { return port_; }
+  [[nodiscard]] Status Listen() { return loop_.Listen(); }
+  std::uint16_t port() const { return loop_.port(); }
 
-  /// Serves until RequestStop() or a kShutdown frame. Blocks the caller.
-  void Run();
+  /// Serves until RequestStop() or a kShutdown frame; frames buffered when
+  /// the stop lands are still served. Blocks the caller.
+  void Run() { loop_.Run(); }
 
   /// Thread-safe stop signal (self-pipe wakeup into the event loop).
-  void RequestStop();
+  void RequestStop() { loop_.RequestStop(); }
 
   /// Serving counters; read after Run() returns (tests) or from the serving
   /// thread.
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Connection {
-    int fd = -1;
-    FrameReader reader;
-    SendQueue out;
-    bool helloed = false;
-    bool out_armed = false;  ///< EPOLLOUT currently in the epoll mask
-    PeerLiveness live;       ///< activity timestamps for the deadline wheel
-  };
-
-  void AcceptPending();
-  void HandleConnectionEvent(int fd, std::uint32_t events);
-  /// Serves complete frames buffered on `fd`, up to max_frames_per_drain
-  /// (unbounded when `drain_all`); re-queues the connection on deferral.
-  void ServeBufferedFrames(int fd, bool drain_all);
-  /// Returns false when the connection must be closed.
-  bool HandleFrame(Connection& conn, const FrameView& frame);
-  bool HandleHello(Connection& conn, std::string_view payload);
-  bool HandleRound(Connection& conn, std::string_view payload);
-  /// Serves a metrics scrape: mirrors Stats into the registry and replies
-  /// with the full text exposition. Allowed pre-hello — scrapers are not
-  /// coordinators and never touch round state.
-  bool HandleStatsRequest(Connection& conn);
-  /// Republishes the serving counters as `fedrec_shardd_*{shard="N"}`
+  bool HandleFrame(PeerId peer, const FrameView& frame) override;
+  /// Republishes the protocol counters as `fedrec_shardd_*{shard="N"}`
   /// gauges (scrape-time only; the hot paths keep their plain counters).
-  void PublishStats();
+  void PublishStats() override;
+  bool HandleHello(PeerId peer, std::string_view payload);
+  bool HandleRound(PeerId peer, std::string_view payload);
   /// Validates `hello` against the adopted geometry (adopting it first if
   /// this is the run's first coordinator).
   [[nodiscard]] Status CheckHello(const ShardHello& hello);
-  void SendError(Connection& conn, const Status& status);
-  /// Flushes the send queue and (de)arms EPOLLOUT to match.
-  bool FlushConnection(Connection& conn);
-  void CloseConnection(int fd);
-  /// Re-arms (or disarms) `conn`'s slot on the deadline wheel from its
-  /// current liveness state.
-  void ArmLiveness(Connection& conn);
-  /// Acts on one due wheel deadline (probe / reap / slow-read close).
-  void HandleDeadline(int fd, std::uint64_t now_ms);
-  /// Poll timeout for the next loop turn: 0 while deferred drains are
-  /// queued, time-to-next-deadline while the wheel is armed, else -1.
-  int NextWaitTimeout() const;
-  /// SIGTERM path: serve already-buffered frames and give every connection
-  /// a bounded window to flush queued replies before Run() returns.
-  void DrainOnStop();
+  void SendError(PeerId peer, const Status& status);
+  bool Helloed(PeerId peer) const {
+    return static_cast<std::size_t>(peer.fd) < helloed_.size() &&
+           helloed_[static_cast<std::size_t>(peer.fd)] == peer.generation;
+  }
 
   Options options_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  int wake_read_ = -1;
-  int wake_write_ = -1;
-  EpollLoop loop_;
-  std::atomic<bool> stop_{false};
-
   bool adopted_ = false;           ///< geometry pinned by the first hello
   ShardHello geometry_;
   std::unique_ptr<ShardServer> server_;
-
-  std::vector<std::unique_ptr<Connection>> conns_;  ///< indexed by fd
-  BinaryWriter scratch_;           ///< error / ack payload encode scratch
-  DeadlineWheel wheel_;            ///< liveness deadlines keyed by fd
-  std::vector<std::uint64_t> due_;       ///< ExpireDue scratch (reused)
-  std::vector<int> deferred_;            ///< fds with frames still buffered
-  std::vector<int> deferred_scratch_;    ///< swap buffer for the above
+  /// Per fd, the connection generation that completed the hello (0 = none;
+  /// generations start at 1), so a recycled fd starts un-helloed.
+  std::vector<std::uint64_t> helloed_;
+  BinaryWriter scratch_;           ///< error payload encode scratch
   Stats stats_;
-  std::string stats_text_;               ///< kStatsReply render scratch
-  /// Scrape-facing mirrors of Stats plus the probe round-trip histogram;
-  /// registered once in the constructor, labelled by shard index so
-  /// multi-daemon processes (tests) keep their fleets apart.
-  struct ServingMetrics {
+  /// Scrape-facing mirrors of the protocol counters; registered once in the
+  /// constructor, labelled by shard index so multi-daemon processes (tests)
+  /// keep their fleets apart.
+  struct ProtocolMetrics {
     obs::Gauge* rounds_served = nullptr;
     obs::Gauge* hellos_accepted = nullptr;
     obs::Gauge* hellos_rejected = nullptr;
-    obs::Gauge* connections_accepted = nullptr;
     obs::Gauge* recoverable_errors = nullptr;
-    obs::Gauge* heartbeats_sent = nullptr;
-    obs::Gauge* peers_reaped = nullptr;
-    obs::Gauge* slow_reads_closed = nullptr;
-    obs::Gauge* drain_deferrals = nullptr;
-    obs::Histogram* heartbeat_rtt_ms = nullptr;
   };
-  ServingMetrics metrics_;
+  ProtocolMetrics metrics_;
+  FrameServer loop_;  ///< last: borrows stats_ and this handler
 };
 
 }  // namespace fedrec

@@ -2,7 +2,9 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <array>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
@@ -20,7 +22,10 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "obs/trace.h"
+#include "shard/shard_daemon.h"
 #include "shard/shard_plan.h"
+#include "shard/shard_protocol.h"
+#include "shard/shard_server.h"
 #include "shard/transport.h"
 #include "shard/wire.h"
 
@@ -579,61 +584,225 @@ TEST(FederationServiceTest, StalledPeerShedsWithRetryAfterNotUnboundedGrowth) {
       << "allocation count scaled with shed traffic: queue is growing";
 }
 
-// --- Liveness: probe, reap, slow read ---------------------------------------
+// --- Stop drains: what each owner serves once a stop lands -----------------
 
-TEST(FederationServiceTest, IdleConnectionGetsHeartbeatProbe) {
-  Rng init(12);
+/// One FRNT frame as raw wire bytes.
+std::string Frame(FrameType type, std::string_view payload) {
+  char header[kFrameHeaderBytes];
+  EncodeFrameHeader(type, payload.size(), header);
+  std::string frame(header, sizeof(header));
+  frame += payload;
+  return frame;
+}
+
+TEST(FederationServiceTest, StopAtMaxRoundsLeavesPipelinedUploadsUnserved) {
+  Rng init(17);
   MfModel model(kNumItems, ModelParams(), init);
-  FederationService::Options options =
-      ServiceHarness::MakeOptions(/*round_size=*/1, /*max_rounds=*/1);
-  options.liveness.heartbeat_interval_ms = 40;
-  ServiceHarness harness(&model, /*num_shards=*/1, options);
-
+  ServiceHarness harness(&model, /*num_shards=*/1, /*round_size=*/1,
+                         /*max_rounds=*/1);
   TestClient client(harness.port());
+  // Two rounds of uploads in one write: both frames are buffered when the
+  // first closes round max_rounds, and the second must never close another.
+  const std::array<std::size_t, 1> rows = {4};
+  std::string wire;
+  for (std::uint32_t user = 1; user <= 2; ++user) {
+    wire += Frame(FrameType::kClientUpload,
+                  EncodeClientUpload(MakeGradients(user, 0, rows), user));
+  }
+  client.SendRaw(wire);
+  EXPECT_EQ(client.ExpectRoundAck(), 0u);
+  harness.Join();
+  EXPECT_EQ(harness.stats().rounds_completed, 1u);
+  EXPECT_EQ(harness.stats().uploads_received, 1u);
+}
+
+/// A ShardDaemon on a background thread. Join() — also run by the
+/// destructor — stops it (a no-op after a kShutdown) and reaps the thread.
+class DaemonHarness {
+ public:
+  explicit DaemonHarness(ShardDaemon::Options options) : daemon_(options) {
+    daemon_.Listen().CheckOK();
+    thread_ = std::thread([this] { daemon_.Run(); });
+  }
+  ~DaemonHarness() {
+    if (thread_.joinable()) Join();
+  }
+  DaemonHarness(const DaemonHarness&) = delete;
+  DaemonHarness& operator=(const DaemonHarness&) = delete;
+
+  void Join() {
+    daemon_.RequestStop();
+    thread_.join();
+  }
+  std::uint16_t port() const { return daemon_.port(); }
+  const ShardDaemon::Stats& stats() const { return daemon_.stats(); }
+
+ private:
+  ShardDaemon daemon_;
+  std::thread thread_;
+};
+
+TEST(ShardDaemonStopTest, RoundBufferedAroundShutdownIsStillAnswered) {
+  // Round then shutdown, and shutdown then round: either way the round was
+  // buffered before the daemon stopped, so its kShardDelta still goes out.
+  for (const bool shutdown_first : {false, true}) {
+    SCOPED_TRACE(shutdown_first ? "shutdown first" : "round first");
+    ShardDaemon::Options options;
+    options.shard_index = 0;
+    DaemonHarness daemon(options);
+    TestClient coordinator(daemon.port());
+
+    const ShardPlan plan(kNumItems, /*num_shards=*/1,
+                         ShardPolicy::kContiguousRange);
+    ShardHello hello;
+    hello.run_fingerprint = 77;
+    hello.num_items = kNumItems;
+    hello.dim = kDim;
+    hello.num_shards = 1;
+    hello.shard_index = 0;
+    hello.policy = static_cast<std::uint32_t>(plan.policy());
+    BinaryWriter hello_wire;
+    EncodeHello(hello, hello_wire);
+    coordinator.SendFrame(FrameType::kHello, hello_wire.buffer());
+    EXPECT_EQ(coordinator.NextFrame().first, FrameType::kHelloAck);
+
+    // One round's delivery, routed the way the coordinator routes it.
+    ShardServer routing(plan, kDim);
+    std::vector<ClientUpdate> updates(1);
+    updates[0].user = 3;
+    const std::array<std::size_t, 2> rows = {2, 19};
+    updates[0].item_gradients = MakeGradients(3, 0, rows);
+    routing.RouteShard(updates, 0);
+    BinaryWriter delivery;
+    EncodeRoundHeader(MakeRoundHeader(/*round=*/0, /*round_size=*/1,
+                                      /*krum_source=*/0,
+                                      routing.message_count(0),
+                                      AggregatorOptions{}),
+                      delivery);
+    delivery.mutable_buffer() += routing.inbox(0).buffer();
+    const std::string round = Frame(FrameType::kShardRound, delivery.buffer());
+    const std::string shutdown = Frame(FrameType::kShutdown, "");
+    coordinator.SendRaw(shutdown_first ? shutdown + round : round + shutdown);
+
+    EXPECT_EQ(coordinator.NextFrame().first, FrameType::kShardDelta);
+    daemon.Join();
+    EXPECT_EQ(daemon.stats().rounds_served, 1u);
+  }
+}
+
+// --- Liveness: probe, reap, slow read, for both loop owners -----------------
+
+/// A serving-loop owner on a background thread, reduced to what the
+/// liveness suite needs. Both owners run the same FrameServer loop, so the
+/// same peer behaviour must draw the same verdicts from each.
+class LoopOwner {
+ public:
+  virtual ~LoopOwner() = default;
+  virtual std::uint16_t port() const = 0;
+  /// Sends one protocol request on `client` and checks it is answered.
+  virtual void ExpectServed(TestClient& client) = 0;
+  /// Stops the owner and joins its thread; stats() is stable afterwards.
+  virtual void Stop() = 0;
+  virtual const ServingStats& stats() const = 0;
+};
+
+/// The service closes one single-upload round, then self-stops.
+class ServiceOwner final : public LoopOwner {
+ public:
+  explicit ServiceOwner(const LivenessOptions& liveness)
+      : init_(12), model_(kNumItems, ModelParams(), init_) {
+    FederationService::Options options =
+        ServiceHarness::MakeOptions(/*round_size=*/1, /*max_rounds=*/1);
+    options.liveness = liveness;
+    harness_ = std::make_unique<ServiceHarness>(&model_, 1, options);
+  }
+  std::uint16_t port() const override { return harness_->port(); }
+  void ExpectServed(TestClient& client) override {
+    const std::array<std::size_t, 1> rows = {9};
+    client.SendFrame(FrameType::kClientUpload,
+                     EncodeClientUpload(MakeGradients(4, 0, rows), 4));
+    EXPECT_EQ(client.ExpectRoundAck(), 0u);
+  }
+  void Stop() override { harness_->Join(); }
+  const ServingStats& stats() const override { return harness_->stats(); }
+
+ private:
+  Rng init_;
+  MfModel model_;
+  std::unique_ptr<ServiceHarness> harness_;
+};
+
+/// The shardd answers a scrape (pre-hello, like any fleet scraper's).
+class DaemonOwner final : public LoopOwner {
+ public:
+  explicit DaemonOwner(const LivenessOptions& liveness)
+      : harness_(Options(liveness)) {}
+  std::uint16_t port() const override { return harness_.port(); }
+  void ExpectServed(TestClient& client) override {
+    client.SendFrame(FrameType::kStatsRequest, "");
+    EXPECT_EQ(client.NextFrame().first, FrameType::kStatsReply);
+  }
+  void Stop() override { harness_.Join(); }
+  const ServingStats& stats() const override { return harness_.stats(); }
+
+ private:
+  static ShardDaemon::Options Options(const LivenessOptions& liveness) {
+    ShardDaemon::Options options;
+    options.shard_index = 0;
+    options.liveness = liveness;
+    return options;
+  }
+  DaemonHarness harness_;
+};
+
+class OwnerLivenessTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::unique_ptr<LoopOwner> MakeOwner(const LivenessOptions& liveness) {
+    if (GetParam() == "service") {
+      return std::make_unique<ServiceOwner>(liveness);
+    }
+    return std::make_unique<DaemonOwner>(liveness);
+  }
+};
+
+TEST_P(OwnerLivenessTest, IdleConnectionGetsHeartbeatProbe) {
+  LivenessOptions liveness;
+  liveness.heartbeat_interval_ms = 40;
+  const std::unique_ptr<LoopOwner> owner = MakeOwner(liveness);
+
+  TestClient client(owner->port());
   // Send nothing: the idle gap must draw exactly one probe, delivered as a
   // payload-free kHeartbeat frame.
   const auto [type, payload] = client.NextFrame();
   EXPECT_EQ(type, FrameType::kHeartbeat);
   EXPECT_TRUE(payload.empty());
 
-  const std::array<std::size_t, 1> rows = {9};
-  client.SendFrame(FrameType::kClientUpload,
-                   EncodeClientUpload(MakeGradients(4, 0, rows), 4));
-  EXPECT_EQ(client.ExpectRoundAck(), 0u);
-  harness.Join();
-  EXPECT_GE(harness.stats().heartbeats_sent, 1u);
+  owner->ExpectServed(client);
+  owner->Stop();
+  EXPECT_GE(owner->stats().heartbeats_sent, 1u);
 }
 
-TEST(FederationServiceTest, SilentPeerIsReaped) {
-  Rng init(13);
-  MfModel model(kNumItems, ModelParams(), init);
-  FederationService::Options options =
-      ServiceHarness::MakeOptions(/*round_size=*/1, /*max_rounds=*/1);
-  options.liveness.peer_timeout_ms = 60;
-  ServiceHarness harness(&model, /*num_shards=*/1, options);
+TEST_P(OwnerLivenessTest, SilentPeerIsReaped) {
+  LivenessOptions liveness;
+  liveness.peer_timeout_ms = 60;
+  const std::unique_ptr<LoopOwner> owner = MakeOwner(liveness);
 
-  TestClient silent(harness.port());
+  TestClient silent(owner->port());
   EXPECT_TRUE(silent.WaitForClose()) << "half-open connection not reaped";
 
-  // The reap freed the slot; a live client still completes the round.
-  TestClient live(harness.port());
-  const std::array<std::size_t, 1> rows = {11};
-  live.SendFrame(FrameType::kClientUpload,
-                 EncodeClientUpload(MakeGradients(5, 0, rows), 5));
-  EXPECT_EQ(live.ExpectRoundAck(), 0u);
-  harness.Join();
-  EXPECT_GE(harness.stats().peers_reaped, 1u);
+  // The reap freed the slot; a live client is still served.
+  TestClient live(owner->port());
+  owner->ExpectServed(live);
+  owner->Stop();
+  EXPECT_GE(owner->stats().peers_reaped, 1u);
 }
 
-TEST(FederationServiceTest, TricklingPartialFrameHitsReadDeadline) {
-  Rng init(14);
-  MfModel model(kNumItems, ModelParams(), init);
-  FederationService::Options options =
-      ServiceHarness::MakeOptions(/*round_size=*/1, /*max_rounds=*/1);
-  options.liveness.read_deadline_ms = 50;
-  ServiceHarness harness(&model, /*num_shards=*/1, options);
+TEST_P(OwnerLivenessTest, TricklingPartialFrameHitsReadDeadline) {
+  LivenessOptions liveness;
+  liveness.read_deadline_ms = 50;
+  const std::unique_ptr<LoopOwner> owner = MakeOwner(liveness);
 
-  TestClient loris(harness.port());
+  TestClient loris(owner->port());
   // Half a frame header, then silence: reassembly state held hostage until
   // the read deadline closes the connection (slow-loris guard).
   char header[kFrameHeaderBytes];
@@ -641,13 +810,119 @@ TEST(FederationServiceTest, TricklingPartialFrameHitsReadDeadline) {
   loris.SendRaw(std::string_view(header, kFrameHeaderBytes / 2));
   EXPECT_TRUE(loris.WaitForClose()) << "trickling frame not closed";
 
-  TestClient live(harness.port());
-  const std::array<std::size_t, 1> rows = {13};
-  live.SendFrame(FrameType::kClientUpload,
-                 EncodeClientUpload(MakeGradients(6, 0, rows), 6));
-  EXPECT_EQ(live.ExpectRoundAck(), 0u);
-  harness.Join();
-  EXPECT_GE(harness.stats().slow_reads_closed, 1u);
+  TestClient live(owner->port());
+  owner->ExpectServed(live);
+  owner->Stop();
+  EXPECT_GE(owner->stats().slow_reads_closed, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Owners, OwnerLivenessTest,
+                         ::testing::Values("service", "shardd"),
+                         [](const auto& info) { return info.param; });
+
+// --- Exposed series: each owner's scrape names -------------------------------
+
+/// One scrape over `client`: the kStatsReply exposition text.
+std::string Scrape(TestClient& client) {
+  client.SendFrame(FrameType::kStatsRequest, "");
+  auto [type, text] = client.NextFrame();
+  EXPECT_EQ(type, FrameType::kStatsReply);
+  return text;
+}
+
+/// A histogram's finite `_bucket` lines come and go with its observations
+/// (buckets render up to the highest populated one); its series identity is
+/// the `+Inf` bucket with `_sum` and `_count`.
+bool IsFiniteBucket(std::string_view series) {
+  return series.find("_bucket{") != std::string_view::npos &&
+         series.find("le=\"+Inf\"") == std::string_view::npos;
+}
+
+/// The sorted `name{labels}` series of an exposition whose line contains
+/// any of `needles` (the registry is process-global, so each owner's test
+/// keeps only the series that owner names).
+std::vector<std::string> SeriesMatching(
+    const std::string& text, std::initializer_list<std::string_view> needles) {
+  std::vector<std::string> series;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    std::size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    const std::string_view line(text.data() + begin, end - begin);
+    begin = end + 1;
+    const std::size_t space = line.rfind(' ');
+    if (line.empty() || line[0] == '#' || space == std::string_view::npos) {
+      continue;
+    }
+    const std::string_view name = line.substr(0, space);
+    if (IsFiniteBucket(name)) continue;
+    for (const std::string_view needle : needles) {
+      if (name.find(needle) != std::string_view::npos) {
+        series.emplace_back(name);
+        break;
+      }
+    }
+  }
+  std::sort(series.begin(), series.end());
+  return series;
+}
+
+TEST(ExposedSeriesTest, ShardDaemonSeriesAreUnchanged) {
+  ShardDaemon::Options options;
+  options.shard_index = 5;  // a label no other test in this binary uses
+  DaemonHarness daemon(options);
+  TestClient scraper(daemon.port());
+  const std::vector<std::string> expected = {
+      "fedrec_heartbeat_rtt_ms_bucket{shard=\"5\",le=\"+Inf\"}",
+      "fedrec_heartbeat_rtt_ms_count{shard=\"5\"}",
+      "fedrec_heartbeat_rtt_ms_sum{shard=\"5\"}",
+      "fedrec_shardd_connections_accepted{shard=\"5\"}",
+      "fedrec_shardd_drain_deferrals{shard=\"5\"}",
+      "fedrec_shardd_heartbeats_sent{shard=\"5\"}",
+      "fedrec_shardd_hellos_accepted{shard=\"5\"}",
+      "fedrec_shardd_hellos_rejected{shard=\"5\"}",
+      "fedrec_shardd_peers_reaped{shard=\"5\"}",
+      "fedrec_shardd_recoverable_errors{shard=\"5\"}",
+      "fedrec_shardd_rounds_served{shard=\"5\"}",
+      "fedrec_shardd_slow_reads_closed{shard=\"5\"}",
+  };
+  EXPECT_EQ(SeriesMatching(Scrape(scraper), {"shard=\"5\""}), expected);
+}
+
+TEST(ExposedSeriesTest, FederationServiceSeriesAreUnchanged) {
+  Rng init(18);
+  MfModel model(kNumItems, ModelParams(), init);
+  ServiceHarness harness(&model, /*num_shards=*/1, /*round_size=*/1,
+                         /*max_rounds=*/0);
+  TestClient scraper(harness.port());
+  const std::vector<std::string> expected = {
+      "fedrec_coord_connections_accepted",
+      "fedrec_coord_drain_deferrals",
+      "fedrec_coord_heartbeats_sent",
+      "fedrec_coord_peers_reaped",
+      "fedrec_coord_rejected_uploads",
+      "fedrec_coord_retry_afters_sent",
+      "fedrec_coord_rounds_completed",
+      "fedrec_coord_shed_frames",
+      "fedrec_coord_slow_reads_closed",
+      "fedrec_coord_upload_bytes",
+      "fedrec_coord_uploads_received",
+      "fedrec_fault_corrupt_messages{scope=\"wire\"}",
+      "fedrec_fault_dropped_uploads{scope=\"wire\"}",
+      "fedrec_fault_fallback_shards{scope=\"wire\"}",
+      "fedrec_fault_shard_outages{scope=\"wire\"}",
+      "fedrec_fault_shard_retries{scope=\"wire\"}",
+      "fedrec_fault_skipped_rounds{scope=\"wire\"}",
+      "fedrec_fault_straggler_uploads{scope=\"wire\"}",
+      "fedrec_fault_virtual_ticks{scope=\"wire\"}",
+      "fedrec_heartbeat_rtt_ms_bucket{shard=\"coord\",le=\"+Inf\"}",
+      "fedrec_heartbeat_rtt_ms_count{shard=\"coord\"}",
+      "fedrec_heartbeat_rtt_ms_sum{shard=\"coord\"}",
+  };
+  EXPECT_EQ(SeriesMatching(Scrape(scraper),
+                           {"fedrec_coord_", "scope=\"wire\"",
+                            "shard=\"coord\""}),
+            expected);
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -14,8 +18,10 @@
 #include "net/deadline_wheel.h"
 #include "net/epoll_loop.h"
 #include "net/frame.h"
+#include "net/frame_server.h"
 #include "net/liveness.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 
 namespace fedrec {
 namespace {
@@ -726,11 +732,11 @@ TEST(ChaosProxyTest, ZeroChaosIsATransparentRelay) {
 
   ChaosProxy::Options options;
   options.upstream_port = upstream_port.value();
-  ChaosProxy proxy(options);
-  ASSERT_TRUE(proxy.Listen().ok());
-  std::thread relay([&proxy] { proxy.Run(); });
+  auto proxy = std::make_unique<ChaosProxy>(options);
+  ASSERT_TRUE(proxy->Listen().ok());
+  std::thread relay([&proxy] { proxy->Run(); });
 
-  Result<int> client = TcpConnect("127.0.0.1", proxy.port());
+  Result<int> client = TcpConnect("127.0.0.1", proxy->port());
   ASSERT_TRUE(client.ok());
   SetIoTimeout(client.value(), 5000).CheckOK();
   const std::string message = "through-the-looking-glass";
@@ -745,16 +751,21 @@ TEST(ChaosProxyTest, ZeroChaosIsATransparentRelay) {
 
   int client_fd = client.value();
   CloseSocket(client_fd);
-  proxy.RequestStop();
+  proxy->RequestStop();
   relay.join();
+  const ChaosProxy::Stats stats = proxy->stats();
+  // The stop can land before the relay saw the client's close, leaving the
+  // upstream link open: destroying the proxy closes it, so the echo thread
+  // reads EOF instead of blocking forever.
+  proxy.reset();
   int upstream_fd = upstream.value();
   CloseSocket(upstream_fd);
   echo.join();
 
-  EXPECT_EQ(proxy.stats().connections_accepted, 1u);
-  EXPECT_GE(proxy.stats().bytes_forwarded, 2 * message.size());
-  EXPECT_EQ(proxy.stats().resets_injected, 0u);
-  EXPECT_EQ(proxy.stats().corruptions_injected, 0u);
+  EXPECT_EQ(stats.connections_accepted, 1u);
+  EXPECT_GE(stats.bytes_forwarded, 2 * message.size());
+  EXPECT_EQ(stats.resets_injected, 0u);
+  EXPECT_EQ(stats.corruptions_injected, 0u);
 }
 
 TEST(ChaosProxyTest, CertainResetKillsTheConnection) {
@@ -805,6 +816,189 @@ TEST(TcpConnectTest, RefusedConnectionIsIOError) {
   Result<int> client = TcpConnect("127.0.0.1", port.value());
   ASSERT_FALSE(client.ok());
   EXPECT_EQ(client.status().code(), StatusCode::kIOError);
+}
+
+// --- FrameServer: the shared serving loop ----------------------------------
+
+namespace {
+
+/// Blocking FRNT peer of a FrameServer under test.
+class LoopPeer {
+ public:
+  explicit LoopPeer(std::uint16_t port) {
+    Result<int> fd = TcpConnect("127.0.0.1", port);
+    fd.status().CheckOK();
+    fd_ = fd.value();
+    SetIoTimeout(fd_, 5000).CheckOK();
+  }
+  ~LoopPeer() { CloseSocket(fd_); }
+  LoopPeer(const LoopPeer&) = delete;
+  LoopPeer& operator=(const LoopPeer&) = delete;
+
+  void Send(std::string_view bytes) {
+    const std::array<std::string_view, 1> pieces = {bytes};
+    WriteAllVec(fd_, pieces).CheckOK();
+  }
+
+  /// The next frame from the server; type kError with payload "closed" once
+  /// the server has closed the connection.
+  std::pair<FrameType, std::string> NextFrame() {
+    for (;;) {
+      FrameView view;
+      bool has_frame = false;
+      reader_.Next(view, has_frame).CheckOK();
+      if (has_frame) return {view.type, std::string(view.payload)};
+      char* tail = reader_.PrepareWrite(64 * 1024);
+      ReadOutcome outcome;
+      if (!ReadSome(fd_, tail, reader_.writable(), outcome).ok() ||
+          outcome.eof) {
+        return {FrameType::kError, "closed"};
+      }
+      FEDREC_CHECK(!outcome.would_block) << "server reply timed out";
+      reader_.CommitWrite(outcome.bytes);
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  FrameReader reader_;
+};
+
+/// Counts flood frames (kClientUpload "x") and answers a "ping" upload with
+/// a kRoundAck; samples the deferred queue from inside the loop.
+class FloodHandler final : public FrameServer::Handler {
+ public:
+  bool HandleFrame(PeerId peer, const FrameView& frame) override {
+    if (frame.type != FrameType::kClientUpload) return false;
+    peak_deferred = std::max(peak_deferred, server->deferred_connections());
+    if (frame.payload == "ping") {
+      server->Send(peer, FrameType::kRoundAck, {});
+    } else {
+      flood_served.fetch_add(1, std::memory_order_relaxed);
+    }
+    return true;
+  }
+  void PublishStats() override {}
+
+  FrameServer* server = nullptr;
+  std::atomic<std::size_t> flood_served{0};
+  std::size_t peak_deferred = 0;  ///< serving thread; read after the join
+};
+
+/// A histogram's finite `_bucket` lines come and go with its observations
+/// (buckets render up to the highest populated one); its series identity is
+/// the `+Inf` bucket with `_sum` and `_count`.
+bool IsFiniteBucket(std::string_view series) {
+  return series.find("_bucket{") != std::string_view::npos &&
+         series.find("le=\"+Inf\"") == std::string_view::npos;
+}
+
+/// The sorted `name{labels}` series of a text exposition.
+std::vector<std::string> SeriesOf(const std::string& text) {
+  std::vector<std::string> series;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    std::size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    const std::string_view line(text.data() + begin, end - begin);
+    begin = end + 1;
+    const std::size_t space = line.rfind(' ');
+    if (line.empty() || line[0] == '#' || space == std::string_view::npos) {
+      continue;
+    }
+    if (IsFiniteBucket(line.substr(0, space))) continue;
+    series.emplace_back(line.substr(0, space));
+  }
+  std::sort(series.begin(), series.end());
+  return series;
+}
+
+}  // namespace
+
+TEST(FrameServerTest, DeferredDrainQueuesEachConnectionOnce) {
+  // One frame per connection per turn: a peer that keeps writing is cut
+  // short every turn, and fresh EPOLLIN events keep landing on it while it
+  // already waits in the deferred queue. It must be queued once — a second
+  // entry would serve it twice per turn and grow the queue every turn.
+  FloodHandler handler;
+  ServingStats stats;
+  FrameServer::Options options;
+  options.max_frames_per_drain = 1;
+  auto server = std::make_unique<FrameServer>(options, &handler, &stats);
+  handler.server = server.get();
+  ASSERT_TRUE(server->Listen().ok());
+  server->RunOnThread();
+
+  constexpr std::size_t kWrites = 400;
+  constexpr std::size_t kFramesPerWrite = 25;
+  const std::size_t total = kWrites * kFramesPerWrite;
+  LoopPeer flooder(server->port());
+  LoopPeer other(server->port());
+  std::string burst;
+  for (std::size_t i = 0; i < kFramesPerWrite; ++i) {
+    burst += EncodeFrame(FrameType::kClientUpload, "x");
+  }
+  std::thread writer([&] {
+    for (std::size_t w = 0; w < kWrites; ++w) flooder.Send(burst);
+  });
+  // The second peer's request is answered while the flood is served.
+  other.Send(EncodeFrame(FrameType::kClientUpload, "ping"));
+  EXPECT_EQ(other.NextFrame().first, FrameType::kRoundAck);
+  writer.join();
+  for (int i = 0; i < 5000 && handler.flood_served.load() < total; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.reset();  // stops and joins the serving thread
+
+  EXPECT_EQ(handler.flood_served.load(), total);
+  EXPECT_GT(stats.drain_deferrals, 0u) << "the flood never hit the cap";
+  EXPECT_LE(handler.peak_deferred, 2u)
+      << "a connection sat in the deferred queue more than once";
+}
+
+TEST(FrameServerTest, StatsEndpointScrapesWhileAnotherThreadRecords) {
+  // fedrec_coord's --stats-port: the loop with no protocol handler on its
+  // own thread, scraped while the main thread keeps recording.
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter* records = registry.GetCounter("fedrec_test_records_total");
+  obs::Gauge* level = registry.GetGauge("fedrec_test_level");
+  obs::Histogram* latency =
+      registry.GetHistogram("fedrec_test_latency_us", "side=\"recorder\"");
+  FrameServer endpoint{FrameServer::Options{}};
+  ASSERT_TRUE(endpoint.Listen().ok());
+  endpoint.RunOnThread();
+
+  std::atomic<bool> done{false};
+  std::thread recorder([&] {
+    std::uint64_t i = 0;
+    while (!done.load(std::memory_order_relaxed)) {
+      records->Increment();
+      level->Set(static_cast<std::int64_t>(i % 7));
+      latency->Observe(i++ % 5000);
+    }
+  });
+  LoopPeer scraper(endpoint.port());
+  std::string text;
+  for (int scrape = 0; scrape < 50; ++scrape) {
+    scraper.Send(EncodeFrame(FrameType::kStatsRequest, ""));
+    auto [type, payload] = scraper.NextFrame();
+    ASSERT_EQ(type, FrameType::kStatsReply);
+    text = std::move(payload);
+  }
+  done.store(true);
+  recorder.join();
+
+  // The endpoint exposes the registry verbatim: no series of its own (no
+  // serving gauges, no probe histogram), none of the registry's missing.
+  std::string direct;
+  registry.RenderText(direct);
+  EXPECT_EQ(SeriesOf(text), SeriesOf(direct));
+  EXPECT_NE(text.find("fedrec_test_records_total "), std::string::npos);
+
+  // Without a protocol handler, any other frame closes the connection.
+  LoopPeer stranger(endpoint.port());
+  stranger.Send(EncodeFrame(FrameType::kClientUpload, "x"));
+  EXPECT_EQ(stranger.NextFrame().second, "closed");
 }
 
 }  // namespace
