@@ -1,13 +1,17 @@
 /// Micro-benchmarks (google-benchmark) of the hot kernels behind the
 /// simulation and the attack: BPR local step, full-catalog scoring, top-K
-/// selection, poisoned-gradient computation, the aggregation rules and the
-/// wire checksum.
+/// selection, the attack's user approximation (Eq. 19) and poisoned-gradient
+/// computation, the aggregation rules and the wire checksum.
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <string>
 
 #include "attack/fedrecattack.h"
 #include "common/kernels.h"
 #include "common/math.h"
+#include "common/threadpool.h"
 #include "data/public_view.h"
 #include "data/synthetic.h"
 #include "fed/aggregator.h"
@@ -214,6 +218,45 @@ void BM_PoisonGradient(benchmark::State& state) {
                           static_cast<std::int64_t>(users));
 }
 BENCHMARK(BM_PoisonGradient)->Arg(256)->Arg(943)->Unit(benchmark::kMillisecond);
+
+/// Eq. 19 as the attack runs it each round: 2 warm-start epochs of BPR-SGD
+/// over D' (xi = 1%, ceil per user) with V frozen, dim 32. range(0) picks the
+/// preset (0 = ML-100K, 943 x 1682; 1 = ML-1M, 6040 x 3706), range(1) the
+/// pool's worker count (0 = serial). Reported per public interaction visited.
+void BM_ApproximateUsers(benchmark::State& state) {
+  const bool ml1m = state.range(0) == 1;
+  const std::size_t threads = static_cast<std::size_t>(state.range(1));
+  // Generating ML-1M takes seconds; each preset is built once per process.
+  static const Dataset kData[2] = {GenerateSynthetic(MovieLens100KConfig(6)),
+                                   GenerateSynthetic(MovieLens1MConfig(6))};
+  const Dataset& data = kData[ml1m ? 1 : 0];
+  Rng rng(7);
+  const auto view = PublicInteractions::Sample(data, 0.01, rng,
+                                               PublicSamplingMode::kCeil);
+  FedRecAttackConfig config;
+  config.target_items = {11};
+  FedRecAttack attack(config, &view, data.num_users(), 32);
+  Matrix V(data.num_items(), 32);
+  V.FillGaussian(rng, 0.0f, 0.1f);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  for (auto _ : state) {
+    attack.ApproximateUsers(V, 2, pool.get());
+  }
+  benchmark::DoNotOptimize(attack.approximated_users().Data().data());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          static_cast<std::int64_t>(view.TotalCount()));
+  state.SetLabel(std::string(ml1m ? "ml-1m" : "ml-100k") +
+                 (threads > 0 ? " pool=" + std::to_string(threads)
+                              : " serial"));
+}
+BENCHMARK(BM_ApproximateUsers)
+    ->Args({0, 0})
+    ->Args({0, 3})
+    ->Args({1, 0})
+    ->Args({1, 3})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// 64 clients x 60 random rows of 1682 items, dim 32 — the round shape of
 /// the aggregation benchmark below.

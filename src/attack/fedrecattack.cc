@@ -1,14 +1,29 @@
 #include "attack/fedrecattack.h"
 
 #include <algorithm>
+#include <functional>
 #include <span>
 
 #include "common/kernels.h"
 #include "common/math.h"
-#include "model/bpr.h"
 #include "model/topk.h"
 
 namespace fedrec {
+namespace {
+
+/// True when the sorted `items` hold `item`. D' gives most users one to a
+/// few public items, where a branch-free scan beats a binary search's
+/// mispredicted branches.
+bool SortedContains(std::span<const std::uint32_t> items, std::uint32_t item) {
+  if (items.size() > 16) {
+    return std::binary_search(items.begin(), items.end(), item);
+  }
+  bool hit = false;
+  for (std::uint32_t x : items) hit |= x == item;
+  return hit;
+}
+
+}  // namespace
 
 FedRecAttack::FedRecAttack(FedRecAttackConfig config,
                            const PublicInteractions* public_view,
@@ -22,30 +37,104 @@ FedRecAttack::FedRecAttack(FedRecAttackConfig config,
   u_hat_ = Matrix(num_benign, dim);
   u_hat_.FillGaussian(rng_, 0.0f, 0.1f);
 
-  public_interactions_ = public_view_->AllInteractions();
-  public_positives_.resize(num_benign);
+  public_offsets_.assign(1, 0);
   for (std::size_t u = 0; u < num_benign; ++u) {
-    public_positives_[u] = public_view_->UserItems(u);
+    const auto& items = public_view_->UserItems(u);
+    public_items_.insert(public_items_.end(), items.begin(), items.end());
+    FEDREC_CHECK_LT(public_items_.size(), std::size_t{0xFFFFFFFFu});
+    public_offsets_.push_back(static_cast<std::uint32_t>(public_items_.size()));
   }
+  public_interactions_ = public_view_->AllInteractions();
+  shuffled_.resize(public_interactions_.size());
+  steps_.resize(2 * public_interactions_.size());
+  step_cursor_.resize(num_benign);
   sorted_targets_ = config_.target_items;
   std::sort(sorted_targets_.begin(), sorted_targets_.end());
 }
 
 void FedRecAttack::ApproximateUsers(const Matrix& item_factors,
-                                    std::size_t epochs) {
-  if (public_interactions_.empty()) return;  // xi = 0: nothing to learn from
-  // Eq. (19): argmin_U L_rec(U, V; D') with V frozen. TrainBprEpoch mutates
-  // only the user side when update_items is false, so a scratch copy of V
-  // guarantees const-correctness of the shared parameters. The copy reuses
-  // the previous call's storage.
-  v_scratch_ = item_factors;
-  BprTrainOptions options;
-  options.learning_rate = config_.approx_lr;
-  options.update_users = true;
-  options.update_items = false;
+                                    std::size_t epochs, ThreadPool* pool) {
+  // xi = 0 leaves nothing to learn from.
+  if (public_items_.empty() || epochs == 0) return;
+  // Eq. (19): argmin_U L_rec(U, V; D') with V frozen. A step for user u
+  // reads V and writes only row u of U-hat, so once an epoch's draws are
+  // known the users are independent: the pool applies them in blocks while
+  // each user's own steps keep their draw order.
+  FEDREC_CHECK_EQ(item_factors.cols(), u_hat_.cols());
+  const std::size_t num_items = item_factors.rows();
+  const std::size_t num_users = u_hat_.rows();
+  const std::size_t n = public_interactions_.size();
+  // Epoch e's steps live in half e % 2 of steps_, so the draws of epoch
+  // e + 1 can run on this thread while the pool applies epoch e: the draws
+  // touch only rng_ and the other half.
+  DrawEpoch(num_items, steps_.data());
   for (std::size_t e = 0; e < epochs; ++e) {
-    TrainBprEpoch(u_hat_, v_scratch_, public_interactions_, public_positives_,
-                  options, rng_);
+    const BprStep* drawn = steps_.data() + (e % 2) * n;
+    BprStep* next = steps_.data() + ((e + 1) % 2) * n;
+    const bool more = e + 1 < epochs;
+    if (pool == nullptr) {
+      ApplyUserSteps(item_factors, drawn, 0, num_users);
+      if (more) DrawEpoch(num_items, next);
+      continue;
+    }
+    const std::size_t num_tasks = std::min(
+        num_users, pool->thread_count() * kApplyTasksPerThread);
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(num_tasks);
+    for (std::size_t t = 0; t < num_tasks; ++t) {
+      tasks.emplace_back([this, &item_factors, drawn,
+                          begin = t * num_users / num_tasks,
+                          end = (t + 1) * num_users / num_tasks] {
+        ApplyUserSteps(item_factors, drawn, begin, end);
+      });
+    }
+    pool->SubmitBatch(std::move(tasks));
+    if (more) DrawEpoch(num_items, next);
+    pool->Wait();
+  }
+}
+
+void FedRecAttack::DrawEpoch(std::size_t num_items, BprStep* steps) {
+  // TrainBprEpoch shuffles an index order over D'; shuffling the tuples
+  // themselves with the same swaps visits them in the same order.
+  std::copy(public_interactions_.begin(), public_interactions_.end(),
+            shuffled_.begin());
+  rng_.Shuffle(shuffled_);
+  std::copy(public_offsets_.begin(), public_offsets_.end() - 1,
+            step_cursor_.begin());
+  // fedrec:hot
+  for (const Interaction& tuple : shuffled_) {
+    // Up to 64 draws for a negative outside the user's public positives;
+    // the last draw stands when every one of them hit a positive.
+    const std::span<const std::uint32_t> positives = PublicItems(tuple.user);
+    std::uint32_t neg = 0;
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      neg = static_cast<std::uint32_t>(rng_.NextBounded(num_items));
+      if (!SortedContains(positives, neg)) break;
+    }
+    steps[step_cursor_[tuple.user]++] = {tuple.item, neg};
+  }
+}
+
+void FedRecAttack::ApplyUserSteps(const Matrix& item_factors,
+                                  const BprStep* steps, std::size_t begin,
+                                  std::size_t end) {
+  const float lr = config_.approx_lr;
+  // fedrec:hot
+  for (std::size_t u = begin; u < end; ++u) {
+    const std::span<float> user_row = u_hat_.Row(u);
+    for (std::uint32_t k = public_offsets_[u]; k < public_offsets_[u + 1];
+         ++k) {
+      // TrainBprEpoch's user update: u <- u - lr * c * (v_pos - v_neg), with
+      // c = dLoss/dx = -sigmoid(-x) at x = u.v_pos - u.v_neg.
+      const auto v_pos = item_factors.Row(steps[k].item);
+      const auto v_neg = item_factors.Row(steps[k].neg);
+      const double x = static_cast<double>(Dot(user_row, v_pos)) -
+                       static_cast<double>(Dot(user_row, v_neg));
+      const float c = static_cast<float>(-Sigmoid(-x));
+      Axpy(-lr * c, v_pos, user_row);
+      Axpy(lr * c, v_neg, user_row);
+    }
   }
 }
 
@@ -72,14 +161,15 @@ void FedRecAttack::ComputePoisonGradientInto(const Matrix& item_factors,
   // Ablation semantics: with no public knowledge at all the attacker cannot
   // rationally approximate U, so no poisoned gradient can be formed (the
   // paper's Table IX shows the attack collapsing to zero effect).
-  if (public_interactions_.empty()) return;
+  if (public_items_.empty()) return;
 
   // Optional user subsampling turns Eq. (20) into a stochastic gradient.
   step_users_.clear();
   double scale = static_cast<double>(config_.step_size);
   if (config_.users_per_step > 0 && config_.users_per_step < num_users) {
-    for (std::size_t idx :
-         rng_.SampleWithoutReplacement(num_users, config_.users_per_step)) {
+    rng_.SampleWithoutReplacementInto(num_users, config_.users_per_step,
+                                      sampled_users_);
+    for (std::size_t idx : sampled_users_) {
       step_users_.push_back(static_cast<std::uint32_t>(idx));
     }
     scale *= static_cast<double>(num_users) /
@@ -163,7 +253,8 @@ void FedRecAttack::ScoreTile(std::size_t tile, std::size_t num_items,
   for (std::size_t i = begin; i < end; ++i) {
     const std::span<const float> user_scores(
         scores.data() + (i - begin) * num_items, num_items);
-    const auto& public_items = public_positives_[step_users_[i]];
+    const std::span<const std::uint32_t> public_items =
+        PublicItems(step_users_[i]);
     // V^rec'_i: top-K of V-''_i (items without a *public* interaction).
     TopKIndicesExcludingSortedInto(user_scores, config_.rec_k, public_items,
                                    rec);
@@ -248,7 +339,7 @@ std::vector<ClientUpdate> FedRecAttack::ProduceUpdates(
   // current shared parameters.
   const std::size_t epochs = users_initialized_ ? config_.approx_epochs_round
                                                 : config_.approx_epochs_first;
-  ApproximateUsers(item_factors, epochs);
+  ApproximateUsers(item_factors, epochs, context.pool);
   users_initialized_ = true;
 
   // Step 2: the round's poisoned gradient (Eq. 20).

@@ -2,6 +2,7 @@
 #define FEDREC_ATTACK_FEDRECATTACK_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,7 +17,11 @@
 /// Per round with selected malicious clients (Algorithm 1):
 ///  1. approximate the private user matrix U from the public interactions D'
 ///     and the shared item matrix V by minimizing L_rec(U, V; D') with V
-///     frozen (Eq. 19);
+///     frozen (Eq. 19). Each BPR-SGD epoch is a serial pass that draws the
+///     epoch's shuffle and negatives, then a pass on the round's pool that
+///     applies every user's steps in draw order while the calling thread
+///     draws the next epoch. A step touches only its user's row of U-hat, so
+///     the result is the serial epoch's, bit for bit, at every pool size;
 ///  2. form the poisoned gradient nabla~V = zeta * dL_atk/dV (Eq. 20), where
 ///     L_atk (Eq. 15-16) pushes every target item's score just above the
 ///     user's current top-K boundary through g(x) of Eq. (14);
@@ -72,8 +77,12 @@ class FedRecAttack : public MaliciousCoordinator {
   /// (exposed for tests).
   const Matrix& last_poison_gradient() const { return last_gradient_; }
 
-  /// Refines U-hat on D' (Eq. 19); called internally, exposed for tests.
-  void ApproximateUsers(const Matrix& item_factors, std::size_t epochs);
+  /// Refines U-hat on D' (Eq. 19) with `epochs` epochs of BPR-SGD, V frozen.
+  /// Bit-identical to TrainBprEpoch with update_items = false, and it draws
+  /// the same values from the attack's stream; `pool` (may be null) only
+  /// spreads the users' updates. Called internally, exposed for tests.
+  void ApproximateUsers(const Matrix& item_factors, std::size_t epochs,
+                        ThreadPool* pool = nullptr);
 
   /// Computes zeta * dL_atk/dV at (U-hat, V) (Eq. 20) into `gradient`,
   /// reshaped to V's shape, in two phases. Phase 1 scores the sampled users
@@ -98,8 +107,32 @@ class FedRecAttack : public MaliciousCoordinator {
  private:
   /// Users scored per ScoreBlockPacked call in phase 1.
   static constexpr std::size_t kScoreTile = 8;
+  /// Eq. 19 apply tasks per pool thread.
+  static constexpr std::size_t kApplyTasksPerThread = 4;
   /// boundary_ entry of a user whose whole top-K list is target items.
   static constexpr std::uint32_t kNoBoundary = 0xFFFFFFFFu;
+
+  /// One Eq. 19 step: a public positive and the negative drawn for it.
+  struct BprStep {
+    std::uint32_t item;
+    std::uint32_t neg;
+  };
+
+  /// The serial half of one Eq. 19 epoch: shuffles D' and draws one negative
+  /// per interaction from rng_, in TrainBprEpoch's order, writing each user's
+  /// steps to its CSR range of `steps` in draw order.
+  void DrawEpoch(std::size_t num_items, BprStep* steps);
+
+  /// The parallel half: applies the `steps` of users [begin, end) to their
+  /// U-hat rows.
+  void ApplyUserSteps(const Matrix& item_factors, const BprStep* steps,
+                      std::size_t begin, std::size_t end);
+
+  /// The public positives of `user`, sorted.
+  std::span<const std::uint32_t> PublicItems(std::size_t user) const {
+    return {public_items_.data() + public_offsets_[user],
+            public_items_.data() + public_offsets_[user + 1]};
+  }
 
   /// Phase 1 for tiles_[tile]: scores its users against the packed
   /// catalogue, then writes their boundary_ items and weights_.
@@ -115,18 +148,27 @@ class FedRecAttack : public MaliciousCoordinator {
   Matrix u_hat_;
   bool users_initialized_ = false;
   Matrix last_gradient_;
-  /// Flattened D' for the approximation SGD.
+  /// D' in CSR form: user u's sorted public items are public_items_
+  /// [public_offsets_[u], public_offsets_[u + 1]).
+  std::vector<std::uint32_t> public_offsets_;
+  std::vector<std::uint32_t> public_items_;
+  /// D' as (user, item) tuples in CSR order; DrawEpoch shuffles a copy.
   std::vector<Interaction> public_interactions_;
-  std::vector<std::vector<std::uint32_t>> public_positives_;
+
+  // Eq. 19 scratch, sized once in the constructor.
+  std::vector<Interaction> shuffled_;
+  /// Two epochs of steps, in CSR order: the one being applied and the one
+  /// being drawn.
+  std::vector<BprStep> steps_;
+  /// DrawEpoch's next free step slot per user.
+  std::vector<std::uint32_t> step_cursor_;
   /// Fixed item set V_i per malicious user id (keyed by id - num_benign).
   std::vector<std::vector<std::uint32_t>> item_sets_;
   std::vector<bool> item_set_ready_;
   std::vector<std::uint32_t> sorted_targets_;
 
-  /// ApproximateUsers' copy of V.
-  Matrix v_scratch_;
-
   // ComputePoisonGradientInto scratch, sized on first use and reused.
+  std::vector<std::size_t> sampled_users_;
   std::vector<std::uint32_t> step_users_;
   std::vector<float> items_packed_;
   /// [begin, end) ranges of step_users_ scored by one phase-1 task.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace fedrec {
 
@@ -61,11 +60,12 @@ double Rng::NextDouble() {
 
 std::uint64_t Rng::NextBounded(std::uint64_t bound) {
   FEDREC_CHECK_GT(bound, 0u);
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = (~bound + 1) % bound;  // = 2^64 mod bound
+  // Rejection sampling to avoid modulo bias: r is rejected iff it is below
+  // 2^64 mod bound. That threshold is below bound, so it only needs
+  // computing (one division) for the rare r < bound.
   for (;;) {
-    std::uint64_t r = Next();
-    if (r >= threshold) return r % bound;
+    const std::uint64_t r = Next();
+    if (r >= bound || r >= (~bound + 1) % bound) return r % bound;
   }
 }
 
@@ -106,22 +106,33 @@ double Rng::NextLogNormal(double mu, double sigma) {
 
 std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t population,
                                                        std::size_t count) {
-  FEDREC_CHECK_LE(count, population);
-  // Floyd's algorithm: expected O(count) draws, O(count) memory.
-  std::unordered_set<std::size_t> chosen;
-  chosen.reserve(count * 2);
   std::vector<std::size_t> result;
-  result.reserve(count);
-  for (std::size_t j = population - count; j < population; ++j) {
-    std::size_t t = static_cast<std::size_t>(NextBounded(j + 1));
-    if (chosen.insert(t).second) {
-      result.push_back(t);
-    } else {
-      chosen.insert(j);
-      result.push_back(j);
-    }
-  }
+  SampleWithoutReplacementInto(population, count, result);
   return result;
+}
+
+void Rng::SampleWithoutReplacementInto(std::size_t population,
+                                       std::size_t count,
+                                       std::vector<std::size_t>& out) {
+  FEDREC_CHECK_LE(count, population);
+  // Floyd's algorithm: expected O(count) draws. Value v is in the chosen set
+  // iff stamps[v] == generation; a new call bumps the generation instead of
+  // clearing the set.
+  static thread_local std::vector<std::uint32_t> stamps;
+  static thread_local std::uint32_t generation = 0;
+  if (stamps.size() < population) stamps.resize(population, 0);
+  if (++generation == 0) {  // wrapped: old stamps could collide
+    std::fill(stamps.begin(), stamps.end(), 0u);
+    generation = 1;
+  }
+  out.clear();
+  out.reserve(count);
+  for (std::size_t j = population - count; j < population; ++j) {
+    const std::size_t t = static_cast<std::size_t>(NextBounded(j + 1));
+    const std::size_t pick = stamps[t] != generation ? t : j;
+    stamps[pick] = generation;
+    out.push_back(pick);
+  }
 }
 
 std::vector<std::size_t> Rng::WeightedSampleWithoutReplacement(

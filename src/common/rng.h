@@ -97,6 +97,13 @@ class Rng {
   std::vector<std::size_t> SampleWithoutReplacement(std::size_t population,
                                                     std::size_t count);
 
+  /// Buffer-recycling form of SampleWithoutReplacement: clears and refills
+  /// `out` (capacity retained) with the same draws in the same order. The
+  /// chosen set is a per-thread stamp array kept at its high-water population,
+  /// so a warm caller allocates nothing.
+  void SampleWithoutReplacementInto(std::size_t population, std::size_t count,
+                                    std::vector<std::size_t>& out);
+
   /// Draws `count` distinct indices with probability proportional to
   /// `weights[i]` (weights >= 0, at least `count` strictly positive entries
   /// required). Implements Efraimidis-Spirakis exponential keys; this is the

@@ -12,8 +12,7 @@
 /// \file
 /// Bayesian Personalized Ranking (Eq. 2-4): the pairwise implicit-feedback
 /// loss the base recommender is trained with, plus the centralized SGD trainer
-/// reused by the attacker's user-matrix approximation (Eq. 19) and by the
-/// data-poisoning surrogate models.
+/// of the data-poisoning surrogate models.
 
 namespace fedrec {
 
@@ -84,11 +83,11 @@ struct BprTrainOptions {
 };
 
 /// Plain centralized BPR-SGD over explicit interaction lists. One call = one
-/// epoch (every interaction visited once in shuffled order). Used by:
-/// (a) the attacker's approximation of U on public data D' with V frozen
-///     (update_items = false), Eq. (19);
-/// (b) full-knowledge surrogate models for the P1/P2 data-poisoning baselines.
-/// Returns the mean pairwise loss of the epoch.
+/// epoch (every interaction visited once in shuffled order). Used by the
+/// full-knowledge surrogate models of the P1/P2 data-poisoning baselines.
+/// FedRecAttack's approximation of U on D' (Eq. 19) runs its own two-pass
+/// epoch, which fedrecattack_test checks bit for bit against this function
+/// with update_items = false. Returns the mean pairwise loss of the epoch.
 double TrainBprEpoch(Matrix& user_factors, Matrix& item_factors,
                      const std::vector<Interaction>& interactions,
                      const std::vector<std::vector<std::uint32_t>>& user_positives,

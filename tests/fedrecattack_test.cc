@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -521,6 +522,194 @@ TEST(FedRecAttackTest, SecondCallOnNewItemsEqualsFreshAttack) {
     EXPECT_TRUE(
         BitIdentical(gradient, fresh.ComputePoisonGradient(second_items, pool)))
         << "threads=" << threads;
+  }
+}
+
+/// The serial reference for Eq. 19: each epoch is TrainBprEpoch over D' on
+/// a copy of V with update_items = false.
+/// It replays the attack's stream from the attack's seed, starting with the
+/// Gaussian initialisation of U-hat, so its rng stays in step with the
+/// attack's while the two draw the same values.
+struct SerialApproximation {
+  SerialApproximation(const FedRecAttackConfig& config,
+                      const PublicInteractions& view, std::size_t dim)
+      : rng(config.seed),
+        u_hat(view.num_users(), dim),
+        interactions(view.AllInteractions()) {
+    u_hat.FillGaussian(rng, 0.0f, 0.1f);
+    for (std::size_t u = 0; u < view.num_users(); ++u) {
+      positives.push_back(view.UserItems(u));
+    }
+    options.learning_rate = config.approx_lr;
+    options.update_users = true;
+    options.update_items = false;
+  }
+
+  void Run(const Matrix& item_factors, std::size_t epochs) {
+    if (interactions.empty()) return;
+    Matrix v_copy = item_factors;
+    for (std::size_t e = 0; e < epochs; ++e) {
+      TrainBprEpoch(u_hat, v_copy, interactions, positives, options, rng);
+    }
+  }
+
+  Rng rng;
+  Matrix u_hat;
+  std::vector<Interaction> interactions;
+  std::vector<std::vector<std::uint32_t>> positives;
+  BprTrainOptions options;
+};
+
+/// Runs one attack through ApproximateUsers calls of 30, 0, 2 and 1
+/// epochs on `pool`, each on a freshly perturbed V and each followed by a
+/// subsampled ComputePoisonGradientInto, against the serial oracle. U-hat,
+/// the sampled users and the gradient must match bit for bit after every
+/// call; the last two only match when the attack left its stream where
+/// TrainBprEpoch leaves it.
+void ExpectApproximationMatchesSerial(const PublicInteractions& view,
+                                      std::size_t num_items,
+                                      FedRecAttackConfig config,
+                                      ThreadPool* pool,
+                                      const std::string& label) {
+  constexpr std::size_t kDim = 6;
+  const std::size_t num_users = view.num_users();
+  config.users_per_step = std::max<std::size_t>(1, num_users / 2);
+  FedRecAttack attack(config, &view, num_users, kDim);
+  SerialApproximation oracle(config, view, kDim);
+  ASSERT_TRUE(BitIdentical(attack.approximated_users(), oracle.u_hat));
+
+  Rng v_rng(num_users * 1000 + num_items);
+  Matrix items(num_items, kDim);
+  items.FillGaussian(v_rng, 0.0f, 0.1f);
+  Matrix gradient;
+  for (std::size_t epochs :
+       {std::size_t{30}, std::size_t{0}, std::size_t{2}, std::size_t{1}}) {
+    const std::string where = label + " threads=" +
+                              std::to_string(pool == nullptr
+                                                 ? 0
+                                                 : pool->thread_count()) +
+                              " epochs=" + std::to_string(epochs);
+    for (float& v : items.Data()) {
+      v += static_cast<float>(v_rng.NextGaussian(0.0, 0.05));
+    }
+    attack.ApproximateUsers(items, epochs, pool);
+    oracle.Run(items, epochs);
+    ASSERT_TRUE(BitIdentical(attack.approximated_users(), oracle.u_hat))
+        << where;
+
+    attack.ComputePoisonGradientInto(items, pool, gradient);
+    if (view.TotalCount() == 0) {
+      EXPECT_EQ(gradient.CountNonZeroRows(), 0u) << where;
+      continue;
+    }
+    std::vector<std::uint32_t> users;
+    if (config.users_per_step < num_users) {
+      for (std::size_t u : oracle.rng.SampleWithoutReplacement(
+               num_users, config.users_per_step)) {
+        users.push_back(static_cast<std::uint32_t>(u));
+      }
+    } else {
+      for (std::uint32_t u = 0; u < num_users; ++u) users.push_back(u);
+    }
+    ASSERT_EQ(attack.last_step_users(), users) << where;
+    std::size_t no_boundary = 0;
+    const Matrix want = ReferenceChunkedGradient(
+        oracle.u_hat, items, view, config.target_items, config.rec_k, users,
+        StepScale(config, num_users), ChunkCount(pool, users.size()),
+        &no_boundary);
+    EXPECT_TRUE(BitIdentical(gradient, want)) << where;
+  }
+}
+
+/// D' sampled from a seeded synthetic dataset.
+PublicInteractions SampleView(std::size_t users, std::size_t items,
+                              double xi, std::uint64_t seed,
+                              PublicSamplingMode mode) {
+  SyntheticConfig config;
+  config.num_users = users;
+  config.num_items = items;
+  config.mean_interactions_per_user = 12.0;
+  config.seed = seed;
+  const Dataset data = GenerateSynthetic(config);
+  Rng rng(seed + 1);
+  return PublicInteractions::Sample(data, xi, rng, mode);
+}
+
+TEST(FedRecAttackTest, ApproximationBitIdenticalToSerialAcrossShapes) {
+  const Pools pools;
+  struct Shape {
+    std::size_t users, items;
+    double xi;
+    std::uint64_t seed;
+  };
+  // 37 users divide by none of the pool sizes; 5 users are fewer than 8
+  // threads; 150 users give every pool several apply tasks.
+  const Shape shapes[] = {{40, 60, 0.3, 201},
+                          {37, 50, 0.1, 202},
+                          {5, 30, 0.5, 203},
+                          {150, 80, 0.2, 204}};
+  for (const Shape& shape : shapes) {
+    const PublicInteractions view = SampleView(
+        shape.users, shape.items, shape.xi, shape.seed,
+        PublicSamplingMode::kCeil);
+    for (std::size_t threads : kPoolSizes) {
+      ExpectApproximationMatchesSerial(
+          view, shape.items, MakeAttackConfig({2, 9}), pools.Get(threads),
+          "users=" + std::to_string(shape.users));
+    }
+  }
+}
+
+TEST(FedRecAttackTest, ApproximationBitIdenticalWithUsersLackingPublicData) {
+  // Rounding xi * |V+_i| leaves the lighter users with no public item.
+  const PublicInteractions view =
+      SampleView(60, 50, 0.05, 205, PublicSamplingMode::kRound);
+  ASSERT_GT(view.UsersWithPublicData(), 0u);
+  ASSERT_LT(view.UsersWithPublicData(), view.num_users());
+  const Pools pools;
+  for (std::size_t threads : kPoolSizes) {
+    ExpectApproximationMatchesSerial(view, 50, MakeAttackConfig({2, 9}),
+                                     pools.Get(threads), "sparse");
+  }
+}
+
+TEST(FedRecAttackTest, ApproximationBitIdenticalWhenNegativeDrawsRunOut) {
+  // User 0 holds every item but one, so a negative draw hits its positives
+  // with probability 29/30 and about one in nine of its 64-attempt loops
+  // runs out, leaving a positive as the step's negative.
+  constexpr std::size_t kUsers = 9;
+  constexpr std::size_t kItems = 30;
+  std::vector<Interaction> tuples;
+  for (std::uint32_t item = 0; item + 1 < kItems; ++item) {
+    tuples.push_back({0, item});
+  }
+  for (std::uint32_t u = 1; u < kUsers; ++u) {
+    for (std::uint32_t k = 0; k < 4; ++k) {
+      const auto item = static_cast<std::uint32_t>((u * 7 + k * 5) % kItems);
+      tuples.push_back({u, item});
+    }
+  }
+  auto data = Dataset::FromInteractions("dense", kUsers, kItems, tuples);
+  ASSERT_TRUE(data.ok());
+  Rng rng(206);
+  const PublicInteractions view =
+      PublicInteractions::Sample(data.value(), 1.0, rng);
+  ASSERT_EQ(view.UserItems(0).size(), kItems - 1);
+  const Pools pools;
+  for (std::size_t threads : kPoolSizes) {
+    ExpectApproximationMatchesSerial(view, kItems, MakeAttackConfig({29}),
+                                     pools.Get(threads), "dense");
+  }
+}
+
+TEST(FedRecAttackTest, ApproximationWithoutPublicDataLeavesUsersUntouched) {
+  const PublicInteractions view =
+      SampleView(40, 60, 0.0, 207, PublicSamplingMode::kCeil);
+  ASSERT_EQ(view.TotalCount(), 0u);
+  const Pools pools;
+  for (std::size_t threads : kPoolSizes) {
+    ExpectApproximationMatchesSerial(view, 60, MakeAttackConfig({2, 9}),
+                                     pools.Get(threads), "xi=0");
   }
 }
 

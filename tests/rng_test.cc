@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -165,6 +167,50 @@ TEST(SampleWithoutReplacementTest, FullPopulationIsPermutation) {
 TEST(SampleWithoutReplacementTest, OverdrawAborts) {
   Rng rng(33);
   EXPECT_DEATH(rng.SampleWithoutReplacement(3, 4), "");
+}
+
+/// Floyd's algorithm as SampleWithoutReplacement ran it with a hash set for
+/// the chosen values.
+std::vector<std::size_t> HashSetFloyd(Rng& rng, std::size_t population,
+                                      std::size_t count) {
+  std::unordered_set<std::size_t> chosen;
+  std::vector<std::size_t> result;
+  for (std::size_t j = population - count; j < population; ++j) {
+    const std::size_t t = static_cast<std::size_t>(rng.NextBounded(j + 1));
+    if (chosen.insert(t).second) {
+      result.push_back(t);
+    } else {
+      chosen.insert(j);
+      result.push_back(j);
+    }
+  }
+  return result;
+}
+
+TEST(SampleWithoutReplacementTest, IntoMatchesHashSetFloydDrawForDraw) {
+  // One `out` buffer and one thread's stamps serve every pair, so stale
+  // stamps from a larger or smaller earlier population would show.
+  Rng pairs(34);
+  std::vector<std::size_t> out;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t population =
+        1 + static_cast<std::size_t>(pairs.NextBounded(trial % 2 ? 40 : 3000));
+    std::size_t count =
+        static_cast<std::size_t>(pairs.NextBounded(population + 1));
+    if (trial % 5 == 0) count = 0;
+    if (trial % 5 == 1) count = population;
+    const std::uint64_t seed = pairs.Next();
+    Rng oracle_rng(seed), into_rng(seed), returning_rng(seed);
+    const std::vector<std::size_t> want =
+        HashSetFloyd(oracle_rng, population, count);
+    into_rng.SampleWithoutReplacementInto(population, count, out);
+    EXPECT_EQ(out, want) << "population=" << population << " count=" << count;
+    EXPECT_EQ(returning_rng.SampleWithoutReplacement(population, count), want);
+    // Same number of draws consumed.
+    const std::uint64_t next = oracle_rng.Next();
+    EXPECT_EQ(into_rng.Next(), next);
+    EXPECT_EQ(returning_rng.Next(), next);
+  }
 }
 
 TEST(WeightedSampleTest, RespectsZeroWeights) {
