@@ -1,7 +1,8 @@
 /// Micro-benchmarks (google-benchmark) of the hot kernels behind the
-/// simulation and the attack: BPR local step, full-catalog scoring, top-K
-/// selection, the attack's user approximation (Eq. 19) and poisoned-gradient
-/// computation, the aggregation rules and the wire checksum.
+/// simulation and the attack: negative resampling, the benign client round,
+/// full-catalog scoring, top-K selection, the attack's user approximation
+/// (Eq. 19) and poisoned-gradient computation, the aggregation rules and the
+/// wire checksum.
 
 #include <benchmark/benchmark.h>
 
@@ -171,27 +172,88 @@ BENCHMARK(BM_TopK)
     ->Args({3706, 10, 2})
     ->Args({3706, 10, 100});
 
+/// The ML-100K (preset 0, 943 x 1682) and ML-1M (preset 1, 6040 x 3706)
+/// synthetic presets; generating ML-1M takes seconds, so each is built once
+/// per process.
+const Dataset& Preset(bool ml1m) {
+  static const Dataset kData[2] = {GenerateSynthetic(MovieLens100KConfig(6)),
+                                   GenerateSynthetic(MovieLens1MConfig(6))};
+  return kData[ml1m ? 1 : 0];
+}
+
+std::string PresetLabel(bool ml1m, std::size_t threads) {
+  return std::string(ml1m ? "ml-1m" : "ml-100k") +
+         (threads > 0 ? " pool=" + std::to_string(threads) : " serial");
+}
+
+/// One epoch's negative resampling (RoundEngine::BeginEpoch): every preset
+/// user draws one negative per positive. range(0) picks the preset,
+/// range(1) the pool's worker count (0 = serial). Reported per user.
+void BM_ResampleNegatives(benchmark::State& state) {
+  const bool ml1m = state.range(0) == 1;
+  const std::size_t threads = static_cast<std::size_t>(state.range(1));
+  const Dataset& data = Preset(ml1m);
+  MfHyperParams params;
+  std::vector<Client> clients;
+  for (std::size_t u = 0; u < data.num_users(); ++u) {
+    clients.emplace_back(static_cast<std::uint32_t>(u), data.UserItems(u),
+                         params, Rng(u));
+  }
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  for (auto _ : state) {
+    ParallelFor(pool.get(), clients.size(), [&](std::size_t i) {
+      clients[i].ResampleNegatives(data.num_items(), 1);
+    });
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(clients.size()));
+  state.SetLabel(PresetLabel(ml1m, threads));
+}
+BENCHMARK(BM_ResampleNegatives)
+    ->Args({0, 0})
+    ->Args({0, 3})
+    ->Args({1, 0})
+    ->Args({1, 3})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// One benign client's round (TrainRoundInto into a recycled upload, dim 32)
+/// for a preset's median (range(1) = 0) or heaviest (1) user by positives.
 void BM_ClientTrainRound(benchmark::State& state) {
-  const std::size_t interactions = static_cast<std::size_t>(state.range(0));
-  Rng rng(4);
+  const bool ml1m = state.range(0) == 1;
+  const Dataset& data = Preset(ml1m);
+  std::vector<std::uint32_t> users(data.num_users());
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    users[u] = static_cast<std::uint32_t>(u);
+  }
+  std::sort(users.begin(), users.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return data.UserItems(a).size() < data.UserItems(b).size();
+  });
+  const std::uint32_t user =
+      state.range(1) == 1 ? users.back() : users[users.size() / 2];
   FedConfig config;
   config.model.dim = 32;
-  Matrix V(2000, 32);
+  Rng rng(4);
+  Matrix V(data.num_items(), 32);
   V.FillGaussian(rng, 0.0f, 0.1f);
-  std::vector<std::uint32_t> positives;
-  for (std::size_t i = 0; i < interactions; ++i) {
-    positives.push_back(static_cast<std::uint32_t>(i * 7 % 2000));
-  }
-  std::sort(positives.begin(), positives.end());
-  positives.erase(std::unique(positives.begin(), positives.end()),
-                  positives.end());
-  Client client(0, positives, config.model, Rng(5));
-  client.ResampleNegatives(2000, 1);
+  Client client(user, data.UserItems(user), config.model, Rng(5));
+  client.ResampleNegatives(data.num_items(), 1);
+  ClientUpdate update;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(client.TrainRound(V, config));
+    client.TrainRoundInto(V, config, update);
+    benchmark::DoNotOptimize(update.item_gradients.row_count());
   }
+  state.SetLabel(std::string(ml1m ? "ml-1m" : "ml-100k") +
+                 (state.range(1) == 1 ? " heaviest " : " median ") +
+                 std::to_string(data.UserItems(user).size()) + " positives");
 }
-BENCHMARK(BM_ClientTrainRound)->Arg(30)->Arg(106);
+BENCHMARK(BM_ClientTrainRound)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PoisonGradient(benchmark::State& state) {
   const std::size_t users = static_cast<std::size_t>(state.range(0));
@@ -226,10 +288,7 @@ BENCHMARK(BM_PoisonGradient)->Arg(256)->Arg(943)->Unit(benchmark::kMillisecond);
 void BM_ApproximateUsers(benchmark::State& state) {
   const bool ml1m = state.range(0) == 1;
   const std::size_t threads = static_cast<std::size_t>(state.range(1));
-  // Generating ML-1M takes seconds; each preset is built once per process.
-  static const Dataset kData[2] = {GenerateSynthetic(MovieLens100KConfig(6)),
-                                   GenerateSynthetic(MovieLens1MConfig(6))};
-  const Dataset& data = kData[ml1m ? 1 : 0];
+  const Dataset& data = Preset(ml1m);
   Rng rng(7);
   const auto view = PublicInteractions::Sample(data, 0.01, rng,
                                                PublicSamplingMode::kCeil);
@@ -246,9 +305,7 @@ void BM_ApproximateUsers(benchmark::State& state) {
   benchmark::DoNotOptimize(attack.approximated_users().Data().data());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
                           static_cast<std::int64_t>(view.TotalCount()));
-  state.SetLabel(std::string(ml1m ? "ml-1m" : "ml-100k") +
-                 (threads > 0 ? " pool=" + std::to_string(threads)
-                              : " serial"));
+  state.SetLabel(PresetLabel(ml1m, threads));
 }
 BENCHMARK(BM_ApproximateUsers)
     ->Args({0, 0})

@@ -51,6 +51,8 @@ std::size_t Matrix::CountNonZeroRows() const {
 }
 
 std::size_t SparseRowMatrix::FindSlot(std::size_t row) const {
+  FEDREC_DCHECK(lookup_rows_.size() == index_.size())
+      << "lookup is stale: BuildIndex() after AppendRowUnindexed()";
   // Out-of-range rejects are free and common (server probing absent rows).
   if (lookup_rows_.empty() || row < lookup_rows_.front() ||
       row > lookup_rows_.back()) {
@@ -82,6 +84,35 @@ std::span<float> SparseRowMatrix::RowMutable(std::size_t row) {
     lookup_slots_.insert(lookup_slots_.begin() + pos, slot);
   }
   return std::span<float>(values_.data() + slot * cols_, cols_);
+}
+
+std::size_t SparseRowMatrix::AppendRowUnindexed(std::size_t row) {
+  internal::NoteSparseGrowth(index_.size() + 1, index_.capacity());
+  internal::NoteSparseGrowth(values_.size() + cols_, values_.capacity());
+  index_.push_back(row);
+  values_.resize(values_.size() + cols_, 0.0f);
+  return index_.size() - 1;
+}
+
+void SparseRowMatrix::BuildIndex() {
+  const std::size_t rows = index_.size();
+  internal::NoteSparseGrowth(rows, lookup_rows_.capacity());
+  internal::NoteSparseGrowth(rows, lookup_slots_.capacity());
+  lookup_rows_.resize(rows);
+  lookup_slots_.resize(rows);
+  // One plain integer sort of (row << 32 | slot) keys, with no indirection
+  // through index_ in the comparator; row ids are item ids, far below 2^32.
+  constexpr std::uint64_t kSlotMask = 0xFFFFFFFFu;
+  for (std::size_t slot = 0; slot < rows; ++slot) {
+    const std::uint64_t row = index_[slot];
+    FEDREC_CHECK_LE(row, kSlotMask) << "row id beyond 32 bits";
+    lookup_rows_[slot] = static_cast<std::size_t>(row << 32 | slot);
+  }
+  std::sort(lookup_rows_.begin(), lookup_rows_.end());
+  for (std::size_t i = 0; i < rows; ++i) {
+    lookup_slots_[i] = static_cast<std::size_t>(lookup_rows_[i] & kSlotMask);
+    lookup_rows_[i] = static_cast<std::size_t>(lookup_rows_[i] >> 32);
+  }
 }
 
 std::span<const float> SparseRowMatrix::Row(std::size_t row) const {

@@ -136,7 +136,24 @@ class SparseRowMatrix {
   const std::vector<std::size_t>& row_ids() const { return index_; }
 
   /// Returns a mutable view of row `row`, creating a zero row if absent.
+  /// A new row costs a sorted insert into the lookup, so bulk builders with
+  /// many rows use AppendRowUnindexed + BuildIndex instead.
   std::span<float> RowMutable(std::size_t row);
+
+  /// Appends a zero row for `row`, which must be absent, and returns its
+  /// slot without updating the lookup: Row(), Contains() and RowMutable()
+  /// are invalid until BuildIndex() runs. The caller tracks its own
+  /// row->slot map meanwhile (ComputeLocalBprGradientsInto stamps one).
+  std::size_t AppendRowUnindexed(std::size_t row);
+
+  /// Rebuilds the lookup from row_ids() with one sort.
+  void BuildIndex();
+
+  /// Mutable view of the row stored at `slot`.
+  std::span<float> RowAtSlotMutable(std::size_t slot) {
+    FEDREC_DCHECK(slot < index_.size());
+    return std::span<float>(values_.data() + slot * cols_, cols_);
+  }
 
   /// Const view of row `row`; aborts if the row is absent (see Contains()).
   std::span<const float> Row(std::size_t row) const;
@@ -182,8 +199,10 @@ class SparseRowMatrix {
   std::vector<std::size_t> index_;   // row ids, insertion order
   std::vector<float> values_;        // row_count * cols, row-major
   // Row-id -> slot map as two parallel sorted vectors. Splitting keys from
-  // slots keeps the binary-searched keys contiguous in cache; for the scales
-  // used here (kappa <= a few hundred rows) this beats any node-based map.
+  // slots keeps the binary-searched keys contiguous in cache, and lookups are
+  // O(log rows) with no per-node allocation. Uploads range from a few dozen
+  // rows (attack, wire decode) to thousands (heavy benign clients), which is
+  // why bulk builders sort once in BuildIndex instead of inserting per row.
   std::vector<std::size_t> lookup_rows_;   // sorted row ids
   std::vector<std::size_t> lookup_slots_;  // slot for lookup_rows_[i]
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/stamp_set.h"
+
 namespace fedrec {
 
 namespace {
@@ -115,22 +117,16 @@ void Rng::SampleWithoutReplacementInto(std::size_t population,
                                        std::size_t count,
                                        std::vector<std::size_t>& out) {
   FEDREC_CHECK_LE(count, population);
-  // Floyd's algorithm: expected O(count) draws. Value v is in the chosen set
-  // iff stamps[v] == generation; a new call bumps the generation instead of
-  // clearing the set.
-  static thread_local std::vector<std::uint32_t> stamps;
-  static thread_local std::uint32_t generation = 0;
-  if (stamps.size() < population) stamps.resize(population, 0);
-  if (++generation == 0) {  // wrapped: old stamps could collide
-    std::fill(stamps.begin(), stamps.end(), 0u);
-    generation = 1;
-  }
+  // Floyd's algorithm: expected O(count) draws into a fresh chosen set.
+  static thread_local StampSet chosen;
+  chosen.Grow(population);
+  const std::uint32_t mark = chosen.NewMark();
   out.clear();
   out.reserve(count);
   for (std::size_t j = population - count; j < population; ++j) {
     const std::size_t t = static_cast<std::size_t>(NextBounded(j + 1));
-    const std::size_t pick = stamps[t] != generation ? t : j;
-    stamps[pick] = generation;
+    const std::size_t pick = chosen.Has(t, mark) ? j : t;
+    chosen.Set(pick, mark);
     out.push_back(pick);
   }
 }

@@ -162,27 +162,33 @@ double RoundEngine::LocalTrain() {
   // TrainRoundInto refills them in place — steady-state rounds (constant
   // selection size, warmed capacities) allocate nothing.
   updates.resize(selected.size());
-  // One prefetch sweep over every row the round will read: the selection's
-  // item rows are a random scatter over a matrix far larger than cache, and
-  // issuing the whole round's loads up front overlaps miss latency across
-  // client boundaries (the per-client pass in the gradient kernel only
-  // covers its own pairs).
-  const Matrix& item_factors = model_->item_factors();
-  const std::size_t row_bytes = item_factors.cols() * sizeof(float);
-  for (std::uint32_t id : selected) {
-    kernels::PrefetchRead(clients[id].user_vector().data(),
-                          clients[id].user_vector().size() * sizeof(float));
-    for (std::uint32_t item : clients[id].positives()) {
-      kernels::PrefetchRead(item_factors.Row(item).data(), row_bytes);
-    }
-    for (std::uint32_t item : clients[id].negatives()) {
-      kernels::PrefetchRead(item_factors.Row(item).data(), row_bytes);
-    }
+  // One client per task, heaviest first: client cost grows with its
+  // positives and is heavy-tailed, so the pool's FIFO queue list-schedules
+  // the longest jobs before the short ones fill the gaps. The tie-break on
+  // selection index makes the order a stable sort without its buffer. Each
+  // task writes only its own slot, so the result is schedule-independent.
+  std::vector<std::uint32_t>& dispatch = workspace_.dispatch;
+  dispatch.resize(selected.size());
+  for (std::size_t i = 0; i < dispatch.size(); ++i) {
+    dispatch[i] = static_cast<std::uint32_t>(i);
   }
-  ParallelFor(pool_, selected.size(), [&](std::size_t i) {
+  const auto weight = [&](std::uint32_t i) {
+    return clients[selected[i]].positives().size();
+  };
+  std::sort(dispatch.begin(), dispatch.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return weight(a) != weight(b) ? weight(a) > weight(b) : a < b;
+            });
+  const auto train = [&](std::size_t k) {
+    const std::uint32_t i = dispatch[k];
     clients[selected[i]].TrainRoundInto(model_->item_factors(), *config_,
                                         updates[i]);
-  });
+  };
+  if (pool_ == nullptr) {
+    for (std::size_t k = 0; k < dispatch.size(); ++k) train(k);
+  } else {
+    pool_->ParallelFor(0, dispatch.size(), /*grain=*/1, train);
+  }
   workspace_.is_malicious.assign(updates.size(), false);
   live_uploads_ = updates.size();
   live_benign_ = updates.size();

@@ -63,6 +63,9 @@ struct RoundWorkspace {
   std::vector<ClientUpdate> updates;
   /// Parallel to `updates`: which uploads came from malicious clients.
   std::vector<bool> is_malicious;
+  /// LocalTrain's dispatch order: indices into selected_benign, most
+  /// positives first.
+  std::vector<std::uint32_t> dispatch;
   /// Aggregation scratch (flat row->contributors index, gather buffers).
   AggregationWorkspace aggregation;
   /// The round's touched-row aggregate.

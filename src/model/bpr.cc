@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/math.h"
+#include "common/stamp_set.h"
 
 namespace fedrec {
 
@@ -13,46 +14,44 @@ void SampleNegativesInto(const std::vector<std::uint32_t>& positives,
   const std::size_t complement =
       num_items > positives.size() ? num_items - positives.size() : 0;
   const std::size_t want = std::min(count, complement);
-  out.clear();
-  out.reserve(want);
+  out.resize(want);
   if (want == 0) return;
 
+  // Per-thread catalogue marks: the user's positives carry one mark and the
+  // accepted negatives another, so either membership test is one load.
+  static thread_local StampSet marks;
+  marks.Grow(num_items);
+  const std::uint32_t positive = marks.NewMark();
+  const std::uint32_t taken = marks.NewMark();
+  const auto in_range =
+      std::lower_bound(positives.begin(), positives.end(), num_items);
+  for (auto it = positives.begin(); it != in_range; ++it) {
+    marks.Set(*it, positive);
+  }
+
   if (want * 4 >= complement) {
-    // Dense regime: enumerate the complement and sample exactly.
-    std::vector<std::uint32_t> pool;
-    pool.reserve(complement);
+    // Dense regime: enumerate the complement in ascending order and sample
+    // it exactly (the draws of the returning SampleWithoutReplacement).
+    static thread_local std::vector<std::uint32_t> pool;
+    static thread_local std::vector<std::size_t> picks;
+    pool.clear();
     for (std::uint32_t item = 0; item < num_items; ++item) {
-      if (!std::binary_search(positives.begin(), positives.end(), item)) {
-        pool.push_back(item);
-      }
+      if (!marks.Has(item, positive)) pool.push_back(item);
     }
-    for (std::size_t idx : rng.SampleWithoutReplacement(pool.size(), want)) {
-      out.push_back(pool[idx]);
-    }
-  } else if (want <= 1024) {
-    // Sparse regime, typical federated sizes: rejection sampling with the
-    // duplicate check scanning the accepted set instead of marking an
-    // O(num_items) bitmap — the accept/reject decision per candidate (and
-    // therefore the rng stream) is unchanged, but nothing here scales with
-    // the catalogue and the warm caller allocates nothing.
-    while (out.size() < want) {
-      const auto item = static_cast<std::uint32_t>(rng.NextBounded(num_items));
-      if (std::find(out.begin(), out.end(), item) != out.end()) continue;
-      if (std::binary_search(positives.begin(), positives.end(), item)) continue;
-      out.push_back(item);
-    }
-  } else {
-    // Sparse regime, very heavy user: the linear duplicate scan would go
-    // quadratic, so fall back to the taken-bitmap probe. Identical per-
-    // candidate decisions, so the rng stream matches the branch above.
-    std::vector<bool> taken(num_items, false);
-    while (out.size() < want) {
-      const auto item = static_cast<std::uint32_t>(rng.NextBounded(num_items));
-      if (taken[item]) continue;
-      if (std::binary_search(positives.begin(), positives.end(), item)) continue;
-      taken[item] = true;
-      out.push_back(item);
-    }
+    rng.SampleWithoutReplacementInto(pool.size(), want, picks);
+    for (std::size_t n = 0; n < want; ++n) out[n] = pool[picks[n]];
+    return;
+  }
+  // Sparse regime: rejection sampling. A candidate is rejected when it was
+  // already taken or is a positive, exactly as with the sorted-set probes it
+  // replaces, so the rng stream is unchanged.
+  std::size_t n = 0;
+  // fedrec:hot — O(want) expected, nothing scales with the catalogue.
+  while (n < want) {
+    const auto item = static_cast<std::uint32_t>(rng.NextBounded(num_items));
+    if (marks.Has(item, taken) || marks.Has(item, positive)) continue;
+    marks.Set(item, taken);
+    out[n++] = item;
   }
 }
 
@@ -90,6 +89,24 @@ double ComputeLocalBprGradientsInto(
     kernels::PrefetchRead(item_factors.Row(positives[p]).data(), row_bytes);
     kernels::PrefetchRead(item_factors.Row(negatives[p]).data(), row_bytes);
   }
+  // Per-thread item->slot map: a row is appended on first touch, which is
+  // the insertion order RowMutable would give, and the upload's lookup is
+  // sorted once at the end instead of one sorted insert per new row.
+  static thread_local StampSet touched;
+  static thread_local std::vector<std::uint32_t> slot_of;
+  touched.Grow(item_factors.rows());
+  if (slot_of.size() < item_factors.rows()) slot_of.resize(item_factors.rows());
+  const std::uint32_t mark = touched.NewMark();
+  // fedrec:hot — a first touch appends a row; growth only at high water.
+  const auto slot_for = [&](std::uint32_t item) {
+    if (!touched.Has(item, mark)) {
+      touched.Set(item, mark);
+      slot_of[item] =
+          static_cast<std::uint32_t>(item_gradients.AppendRowUnindexed(item));
+    }
+    return item_gradients.RowAtSlotMutable(slot_of[item]);
+  };
+  // fedrec:hot — one stamp probe per row touch.
   for (std::size_t p = 0; p < pairs; ++p) {
     const std::uint32_t pos = positives[p];
     const std::uint32_t neg = negatives[p];
@@ -104,16 +121,19 @@ double ComputeLocalBprGradientsInto(
     std::span<float> grad_u(user_gradient);
     Axpy(c, v_pos, grad_u);
     Axpy(-c, v_neg, grad_u);
-    Axpy(c, user_vector, item_gradients.RowMutable(pos));
-    Axpy(-c, user_vector, item_gradients.RowMutable(neg));
+    Axpy(c, user_vector, slot_for(pos));
+    Axpy(-c, user_vector, slot_for(neg));
     ++pair_count;
   }
   if (l2_reg > 0.0f) {
     Axpy(l2_reg, user_vector, std::span<float>(user_gradient));
-    for (std::uint32_t item : item_gradients.row_ids()) {
-      Axpy(l2_reg, item_factors.Row(item), item_gradients.RowMutable(item));
+    const std::vector<std::size_t>& rows = item_gradients.row_ids();
+    for (std::size_t slot = 0; slot < rows.size(); ++slot) {
+      Axpy(l2_reg, item_factors.Row(rows[slot]),
+           item_gradients.RowAtSlotMutable(slot));
     }
   }
+  item_gradients.BuildIndex();
   return loss;
 }
 

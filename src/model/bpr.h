@@ -23,11 +23,14 @@ std::vector<std::uint32_t> SampleNegatives(
     const std::vector<std::uint32_t>& positives, std::size_t num_items,
     std::size_t count, Rng& rng);
 
-/// Buffer-recycling form of SampleNegatives: clears and refills `out`
-/// (capacity retained). Identical draws from `rng` and identical results; in
-/// the sparse regime (count << catalogue) the rejection sampler checks
-/// duplicates against the accepted set directly, so nothing scales with
-/// num_items and a warm caller allocates nothing per resample.
+/// Buffer-recycling form of SampleNegatives: refills `out` (capacity
+/// retained) with identical draws from `rng` and identical results. When
+/// count*4 < the complement it rejection-samples in O(count) expected draws;
+/// otherwise it enumerates the complement and samples it exactly. Positive
+/// and taken items are marked in a per-thread stamp array of num_items
+/// entries (common/stamp_set.h), allocated once per thread at its largest
+/// catalogue and never cleared per call, so each test is one load and a warm
+/// caller allocates nothing.
 void SampleNegativesInto(const std::vector<std::uint32_t>& positives,
                          std::size_t num_items, std::size_t count, Rng& rng,
                          std::vector<std::uint32_t>& out);
@@ -64,7 +67,9 @@ LocalBprGradients ComputeLocalBprGradients(
 /// capacity reused) and the user gradient into `user_gradient`; returns the
 /// pair loss and stores the pair count in `pair_count`. Bit-identical to the
 /// returning overload; a caller recycling same-shaped buffers round over
-/// round performs zero steady-state heap allocations.
+/// round performs zero steady-state heap allocations. Rows are slotted in
+/// first-touch order through a per-thread item->slot stamp map and the
+/// upload's lookup is sorted once, so the build is O(rows log rows).
 double ComputeLocalBprGradientsInto(
     std::span<const float> user_vector, const Matrix& item_factors,
     std::span<const std::uint32_t> positives,

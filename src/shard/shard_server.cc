@@ -34,11 +34,9 @@ ShardServer::ShardServer(const ShardPlan& plan, std::size_t dim)
       cursor_(plan.num_shards(), 0) {
   FEDREC_CHECK_GT(dim, 0u);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].row_stamps.assign(
-        plan_.policy() == ShardPolicy::kContiguousRange
-            ? plan_.RangeEnd(s) - plan_.RangeBegin(s)
-            : plan_.num_items(),
-        0u);
+    shards_[s].rows_seen.Grow(plan_.policy() == ShardPolicy::kContiguousRange
+                                  ? plan_.RangeEnd(s) - plan_.RangeBegin(s)
+                                  : plan_.num_items());
   }
 }
 
@@ -122,13 +120,9 @@ Status ShardServer::DecodeInbox(ShardState& shard, std::size_t s,
                                 ": duplicate or out-of-order upload source " +
                                 std::to_string(view.source));
     }
-    // A fresh stamp per message: a row whose stamp already equals it was
-    // carried twice by this message. Stamp 0 is never issued, so the
-    // zero-initialised (or wrapped and cleared) array matches nothing.
-    if (++shard.stamp == 0) {
-      std::fill(shard.row_stamps.begin(), shard.row_stamps.end(), 0u);
-      shard.stamp = 1;
-    }
+    // A fresh mark per message: a row that already carries it was carried
+    // twice by this message.
+    const std::uint32_t mark = shard.rows_seen.NewMark();
     const std::size_t base = arena.offsets.back();
     const std::size_t end = base + view.row_count;
     GrowNoted(arena.rows, end);
@@ -140,12 +134,12 @@ Status ShardServer::DecodeInbox(ShardState& shard, std::size_t s,
                                   " routed to wrong shard " +
                                   std::to_string(s));
       }
-      std::uint32_t& seen = shard.row_stamps[LocalRow(s, row)];
-      if (seen == shard.stamp) {
+      const std::size_t local = LocalRow(s, row);
+      if (shard.rows_seen.Has(local, mark)) {
         return Status::Corruption("FRWU upload: duplicate row " +
                                   std::to_string(row));
       }
-      seen = shard.stamp;
+      shard.rows_seen.Set(local, mark);
       arena.rows[base + i] = static_cast<std::size_t>(row);
       view.CopyRow(i, arena.values.data() + (base + i) * dim_);
     }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/matrix.h"
+#include "common/stamp_set.h"
 #include "common/status.h"
 #include "common/threadpool.h"
 #include "data/serialize.h"
@@ -180,10 +181,8 @@ class ShardServer {
     BinaryWriter delta_wire;                  ///< FRWD wire out
     std::vector<std::uint32_t> route_slots;   ///< per-update routing scratch
     UploadArena arena;                        ///< decoded inbox
-    /// Duplicate-row guard, indexed by plan-local row: the stamp of the last
-    /// message that carried the row (stamps grow per decoded message).
-    std::vector<std::uint32_t> row_stamps;
-    std::uint32_t stamp = 0;
+    /// Duplicate-row guard over plan-local rows, one mark per message.
+    StampSet rows_seen;
     std::size_t message_count = 0;            ///< FRWU messages this round
     AggregationWorkspace aggregation;
     SparseRoundDelta delta;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -43,6 +45,227 @@ TEST(SampleNegativesTest, AllItemsPositiveYieldsEmpty) {
 TEST(SampleNegativesTest, ZeroCount) {
   Rng rng(4);
   EXPECT_TRUE(SampleNegatives({0}, 10, 0, rng).empty());
+}
+
+// --- Counterexample search against the sorted-set implementations ---------
+
+/// The scan-and-bitmap sampler SampleNegativesInto replaced, kept verbatim
+/// as the oracle its stamp-array form must match draw for draw.
+void ReferenceSampleNegatives(const std::vector<std::uint32_t>& positives,
+                              std::size_t num_items, std::size_t count,
+                              Rng& rng, std::vector<std::uint32_t>& out) {
+  const std::size_t complement =
+      num_items > positives.size() ? num_items - positives.size() : 0;
+  const std::size_t want = std::min(count, complement);
+  out.clear();
+  if (want == 0) return;
+  if (want * 4 >= complement) {
+    std::vector<std::uint32_t> pool;
+    for (std::uint32_t item = 0; item < num_items; ++item) {
+      if (!std::binary_search(positives.begin(), positives.end(), item)) {
+        pool.push_back(item);
+      }
+    }
+    for (std::size_t idx : rng.SampleWithoutReplacement(pool.size(), want)) {
+      out.push_back(pool[idx]);
+    }
+  } else if (want <= 1024) {
+    while (out.size() < want) {
+      const auto item = static_cast<std::uint32_t>(rng.NextBounded(num_items));
+      if (std::find(out.begin(), out.end(), item) != out.end()) continue;
+      if (std::binary_search(positives.begin(), positives.end(), item)) continue;
+      out.push_back(item);
+    }
+  } else {
+    std::vector<bool> taken(num_items, false);
+    while (out.size() < want) {
+      const auto item = static_cast<std::uint32_t>(rng.NextBounded(num_items));
+      if (taken[item]) continue;
+      if (std::binary_search(positives.begin(), positives.end(), item)) continue;
+      taken[item] = true;
+      out.push_back(item);
+    }
+  }
+}
+
+struct NegativeShape {
+  std::size_t num_items;
+  std::size_t num_positives;
+  std::size_t count;
+};
+
+std::vector<std::uint32_t> SortedSubset(std::size_t num_items,
+                                        std::size_t size, Rng& rng) {
+  std::vector<std::uint32_t> subset;
+  for (std::size_t idx : rng.SampleWithoutReplacement(num_items, size)) {
+    subset.push_back(static_cast<std::uint32_t>(idx));
+  }
+  std::sort(subset.begin(), subset.end());
+  return subset;
+}
+
+TEST(SampleNegativesTest, StampSamplerMatchesReferenceDrawForDraw) {
+  std::vector<NegativeShape> shapes = {
+      {1, 0, 1},        {1, 0, 0},       {1, 1, 3},       {2, 0, 1},
+      {10, 0, 0},       {10, 10, 4},     {100, 0, 24},    {100, 0, 25},
+      {3706, 0, 300},   {1682, 40, 410}, {1682, 40, 411}, {1682, 41, 410},
+      {6000, 100, 1024}, {6000, 100, 1025}, {8000, 50, 1987},
+      {8000, 50, 1988}, {3706, 1000, 700}, {5000, 4999, 1}};
+  // want*4 == complement - 1 (sparse), == complement and == complement + 1
+  // (dense), on both sides of the old 1024 threshold.
+  for (const std::size_t want : {3u, 50u, 1000u, 1100u}) {
+    for (const std::size_t complement : {want * 4 - 1, want * 4, want * 4 + 1}) {
+      shapes.push_back({complement + 7, 7, want});
+    }
+  }
+  Rng shape_rng(2024);
+  const std::size_t catalogues[] = {1, 2, 5, 40, 300, 1682, 3706, 6000};
+  while (shapes.size() < 240) {
+    const std::size_t num_items = catalogues[shape_rng.NextBounded(8)];
+    const std::size_t num_positives =
+        shape_rng.NextBounded(4) == 0
+            ? 0
+            : static_cast<std::size_t>(shape_rng.NextBounded(num_items + 1));
+    const std::size_t count =
+        static_cast<std::size_t>(shape_rng.NextBounded(num_items / 2 + 2));
+    shapes.push_back({num_items, num_positives, count});
+  }
+
+  std::vector<std::uint32_t> got = {99, 98, 97};  // stale contents to drop
+  std::vector<std::uint32_t> expected;
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    const NegativeShape& shape = shapes[s];
+    SCOPED_TRACE(::testing::Message()
+                 << "shape " << s << ": items " << shape.num_items
+                 << " positives " << shape.num_positives << " count "
+                 << shape.count);
+    Rng setup(s + 1);
+    const std::vector<std::uint32_t> positives =
+        SortedSubset(shape.num_items, shape.num_positives, setup);
+    Rng reference_rng(1000 + s);
+    Rng rng(1000 + s);
+    ReferenceSampleNegatives(positives, shape.num_items, shape.count,
+                             reference_rng, expected);
+    SampleNegativesInto(positives, shape.num_items, shape.count, rng, got);
+    ASSERT_EQ(got, expected);
+    ASSERT_EQ(rng.Next(), reference_rng.Next()) << "rng cursor diverged";
+  }
+}
+
+/// The sorted-insert builder ComputeLocalBprGradientsInto replaced (one
+/// RowMutable per row touch), kept as the oracle for the stamp-map form.
+double ReferenceLocalGradients(std::span<const float> user_vector,
+                               const Matrix& item_factors,
+                               std::span<const std::uint32_t> positives,
+                               std::span<const std::uint32_t> negatives,
+                               float l2_reg, SparseRowMatrix& item_gradients,
+                               std::vector<float>& user_gradient,
+                               std::size_t& pair_count) {
+  item_gradients.Reset(item_factors.cols());
+  user_gradient.assign(user_vector.size(), 0.0f);
+  pair_count = 0;
+  double loss = 0.0;
+  const std::size_t pairs = std::min(positives.size(), negatives.size());
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const auto v_pos = item_factors.Row(positives[p]);
+    const auto v_neg = item_factors.Row(negatives[p]);
+    const double x = static_cast<double>(Dot(user_vector, v_pos)) -
+                     static_cast<double>(Dot(user_vector, v_neg));
+    const BprPairResult pair = BprPairLossAndCoefficient(x);
+    loss += pair.loss;
+    const float c = static_cast<float>(pair.coefficient);
+    std::span<float> grad_u(user_gradient);
+    Axpy(c, v_pos, grad_u);
+    Axpy(-c, v_neg, grad_u);
+    Axpy(c, user_vector, item_gradients.RowMutable(positives[p]));
+    Axpy(-c, user_vector, item_gradients.RowMutable(negatives[p]));
+    ++pair_count;
+  }
+  if (l2_reg > 0.0f) {
+    Axpy(l2_reg, user_vector, std::span<float>(user_gradient));
+    for (std::size_t item : item_gradients.row_ids()) {
+      Axpy(l2_reg, item_factors.Row(item), item_gradients.RowMutable(item));
+    }
+  }
+  return loss;
+}
+
+bool SameBits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(LocalBprGradientsTest, StampBuilderMatchesSortedInsertBuilder) {
+  const std::size_t num_items = 700;
+  const std::size_t dim = 12;
+  Rng rng(31);
+  Matrix items(num_items, dim);
+  items.FillGaussian(rng, 0.0f, 0.3f);
+  SparseRowMatrix got;
+  SparseRowMatrix expected;
+  std::vector<float> got_user;
+  std::vector<float> expected_user;
+  std::size_t trial = 0;
+  for (const std::size_t ratio : {1u, 2u, 3u}) {
+    for (const float l2 : {0.0f, 0.01f}) {
+      for (const std::size_t num_positives : {1u, 9u, 60u, 230u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "ratio " << ratio << " l2 " << l2 << " positives "
+                     << num_positives);
+        Rng setup(++trial);
+        std::vector<float> user(dim);
+        for (float& v : user) v = static_cast<float>(setup.NextGaussian());
+        const std::vector<std::uint32_t> positives =
+            SortedSubset(num_items, num_positives, setup);
+        std::vector<std::uint32_t> negatives;
+        SampleNegativesInto(positives, num_items, num_positives * ratio, setup,
+                            negatives);
+        setup.Shuffle(negatives);
+        // Client pairing: `ratio` blocks of the positives, so every positive
+        // row is touched `ratio` times.
+        std::vector<std::uint32_t> paired;
+        for (std::size_t r = 0; r < ratio; ++r) {
+          paired.insert(paired.end(), positives.begin(), positives.end());
+        }
+
+        std::size_t expected_pairs = 0;
+        const double expected_loss = ReferenceLocalGradients(
+            user, items, paired, negatives, l2, expected, expected_user,
+            expected_pairs);
+        std::size_t got_pairs = 0;
+        double got_loss = 0.0;
+        for (int call = 0; call < 2; ++call) {
+          // The second call refills warm buffers: zero growth events.
+          const std::uint64_t before = SparseAllocationCount();
+          got_loss = ComputeLocalBprGradientsInto(user, items, paired,
+                                                  negatives, l2, got, got_user,
+                                                  got_pairs);
+          if (call == 1) {
+            EXPECT_EQ(SparseAllocationCount() - before, 0u);
+          }
+        }
+        ASSERT_EQ(got.row_ids(), expected.row_ids());
+        for (std::size_t slot = 0; slot < got.row_count(); ++slot) {
+          ASSERT_TRUE(SameBits(got.RowAtSlot(slot), expected.RowAtSlot(slot)))
+              << "row " << got.row_ids()[slot];
+        }
+        EXPECT_TRUE(SameBits(got_user, expected_user));
+        EXPECT_EQ(std::memcmp(&got_loss, &expected_loss, sizeof(double)), 0);
+        EXPECT_EQ(got_pairs, expected_pairs);
+        // The lookup was rebuilt: every row is found, and nothing else is.
+        for (std::size_t row : got.row_ids()) {
+          ASSERT_TRUE(got.Contains(row));
+          EXPECT_TRUE(SameBits(got.Row(row), expected.Row(row)));
+        }
+        std::size_t absent = 0;
+        for (std::size_t item = 0; item < num_items; ++item) {
+          if (!got.Contains(item)) ++absent;
+          EXPECT_EQ(got.Contains(item), expected.Contains(item));
+        }
+        EXPECT_EQ(absent + got.row_count(), num_items);
+      }
+    }
+  }
 }
 
 TEST(BprPairTest, LossAndCoefficientDefinitions) {

@@ -1,9 +1,11 @@
 #include "shard/federation_service.h"
 
+#include <netinet/in.h>
 #include <sys/socket.h>
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <initializer_list>
 #include <memory>
 #include <span>
@@ -71,6 +73,27 @@ class TestClient {
     Result<int> fd = TcpConnect("127.0.0.1", port);
     fd.status().CheckOK();
     fd_ = fd.value();
+    SetIoTimeout(fd_, 5000).CheckOK();
+  }
+
+  /// Connects with the kernel receive buffer fixed at ~`rcvbuf` bytes (the
+  /// kernel doubles it) before the handshake, so the advertised window
+  /// matches it. Setting it also locks it: a peer that never reads
+  /// otherwise lets the kernel grow the buffer toward tcp_rmem's maximum as
+  /// small segments pile up, so the replies it absorbs vary run to run.
+  TestClient(std::uint16_t port, int rcvbuf) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    FEDREC_CHECK_GE(fd_, 0);
+    FEDREC_CHECK_EQ(
+        setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)), 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    sockaddr generic{};
+    static_assert(sizeof(generic) == sizeof(addr));
+    std::memcpy(&generic, &addr, sizeof(addr));
+    FEDREC_CHECK_EQ(::connect(fd_, &generic, sizeof(addr)), 0);
     SetIoTimeout(fd_, 5000).CheckOK();
   }
   ~TestClient() { CloseSocket(fd_); }
@@ -531,7 +554,8 @@ struct OverloadOutcome {
 
 /// One overload run: a client fires `uploads` rounds at a service whose
 /// accepted sockets have a one-byte SO_SNDBUF, and never reads a single
-/// reply. Returns the shed/allocation ledger of the run.
+/// reply from its locked receive buffer. Returns the shed/allocation ledger
+/// of the run.
 OverloadOutcome RunOverload(std::size_t uploads) {
   Rng init(11);
   MfModel model(kNumItems, ModelParams(), init);
@@ -544,7 +568,11 @@ OverloadOutcome RunOverload(std::size_t uploads) {
   OverloadOutcome outcome;
   {
     ServiceHarness harness(&model, /*num_shards=*/1, options);
-    TestClient client(harness.port());
+    // A locked ~128 KiB buffer absorbs a few thousand 24-byte replies at
+    // most, far fewer than the 16,000 extra uploads of the doubled run. (At
+    // 4 KiB the peer's own uploads stalled for seconds under host load; an
+    // unlocked buffer can absorb every reply.)
+    TestClient client(harness.port(), /*rcvbuf=*/65536);
     const std::array<std::size_t, 1> rows = {7};
     const std::string upload =
         EncodeClientUpload(MakeGradients(3, 0, rows), 3);

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/stamp_set.h"
 
 namespace fedrec {
 namespace {
@@ -211,6 +214,32 @@ TEST(SampleWithoutReplacementTest, IntoMatchesHashSetFloydDrawForDraw) {
     EXPECT_EQ(into_rng.Next(), next);
     EXPECT_EQ(returning_rng.Next(), next);
   }
+}
+
+TEST(StampSetTest, WrapLeavesNoStaleMark) {
+  // Three marks short of the wrap, every slot already carries one of the
+  // marks the counter hands out right after it (left from its previous
+  // cycle). Each new mark must find no slot carrying it, and marks must not
+  // repeat.
+  StampSet set(std::numeric_limits<std::uint32_t>::max() - 3);
+  set.Grow(16);
+  for (std::size_t v = 0; v < 16; ++v) {
+    set.Set(v, static_cast<std::uint32_t>(1 + v % 5));
+  }
+  std::set<std::uint32_t> issued;
+  for (int round = 0; round < 8; ++round) {
+    const std::uint32_t mark = set.NewMark();
+    EXPECT_NE(mark, 0u) << "mark 0 is what fresh slots carry";
+    EXPECT_TRUE(issued.insert(mark).second) << "mark " << mark << " reissued";
+    for (std::size_t v = 0; v < 16; ++v) {
+      EXPECT_FALSE(set.Has(v, mark)) << "stale mark on slot " << v;
+    }
+    set.Set(static_cast<std::size_t>(round), mark);  // slots 8.. keep 1..5
+  }
+  // The grown tail starts unmarked under the live mark too.
+  const std::uint32_t mark = set.NewMark();
+  set.Grow(40);
+  for (std::size_t v = 0; v < 40; ++v) EXPECT_FALSE(set.Has(v, mark));
 }
 
 TEST(WeightedSampleTest, RespectsZeroWeights) {

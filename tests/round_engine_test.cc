@@ -1,6 +1,7 @@
 #include "fed/round_engine.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -224,6 +225,68 @@ TEST(RoundEngineTest, SerialAndParallelEnginesAreBitIdentical) {
   }
   EXPECT_TRUE(sim_serial.model().item_factors() ==
               sim_parallel.model().item_factors());
+}
+
+TEST(RoundEngineTest, LargestFirstDispatchMatchesSerialSlotForSlot) {
+  // Heavy-tailed activity, so the dispatch order really differs from the
+  // selection order. Every round, copies of the selected clients train one
+  // after another in selection order; LocalTrain's uploads must equal them
+  // slot for slot at every pool size.
+  SyntheticConfig data_config;
+  data_config.num_users = 80;
+  data_config.num_items = 150;
+  data_config.mean_interactions_per_user = 14.0;
+  data_config.activity_sigma = 1.0;
+  data_config.seed = 4;
+  const Dataset data = GenerateSynthetic(data_config);
+  const FedConfig config = SmallConfig();
+  std::unique_ptr<ThreadPool> pool;
+  for (const std::size_t threads : {0u, 1u, 3u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " pool threads");
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    Simulation sim(data, config, 0, nullptr, pool.get());
+    RoundEngine& engine = sim.engine();
+    const RoundWorkspace& workspace = engine.workspace();
+    std::vector<ClientUpdate> expected;
+    for (std::size_t epoch = 0; epoch < 2; ++epoch) {
+      engine.BeginEpoch(epoch);
+      while (engine.HasNextRound()) {
+        engine.Select();
+        const std::vector<std::uint32_t>& selected = workspace.selected_benign;
+        std::vector<Client> serial = sim.benign_clients();
+        expected.resize(selected.size());
+        for (std::size_t i = 0; i < selected.size(); ++i) {
+          serial[selected[i]].TrainRoundInto(sim.model().item_factors(),
+                                             config, expected[i]);
+        }
+        engine.LocalTrain();
+        ASSERT_EQ(workspace.updates.size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          const ClientUpdate& got = workspace.updates[i];
+          EXPECT_EQ(got.user, expected[i].user);
+          EXPECT_EQ(got.loss, expected[i].loss);
+          EXPECT_EQ(got.pair_count, expected[i].pair_count);
+          ASSERT_EQ(got.item_gradients.row_ids(),
+                    expected[i].item_gradients.row_ids());
+          for (std::size_t slot = 0; slot < got.item_gradients.row_count();
+               ++slot) {
+            const auto a = got.item_gradients.RowAtSlot(slot);
+            const auto b = expected[i].item_gradients.RowAtSlot(slot);
+            ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+                << "slot " << i << " row " << slot;
+          }
+        }
+        for (std::size_t k = 1; k < workspace.dispatch.size(); ++k) {
+          EXPECT_GE(data.UserItems(selected[workspace.dispatch[k - 1]]).size(),
+                    data.UserItems(selected[workspace.dispatch[k]]).size())
+              << "dispatch is not largest-first";
+        }
+        engine.Aggregate();
+        engine.Apply();
+        engine.AdvanceRound();
+      }
+    }
+  }
 }
 
 TEST(RoundEngineTest, RecordsCarryRoundThroughput) {
