@@ -42,9 +42,9 @@ class Client {
   /// epoch, mirroring the paper's per-client negative subsampling.
   void ResampleNegatives(std::size_t num_items, std::size_t negatives_per_positive);
 
-  /// Current negative set V-_i' (see ResampleNegatives). Exposed so the round
-  /// engine's pipelining conflict check can predict which item rows this
-  /// client's next TrainRoundInto will touch.
+  /// Current negative set V-_i' (see ResampleNegatives). Read by the
+  /// checkpoint capture (shard/checkpoint.h), which must carry the open
+  /// epoch's set verbatim.
   const std::vector<std::uint32_t>& negatives() const { return negatives_; }
 
   /// Executes one local training step against the shared item matrix:

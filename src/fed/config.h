@@ -65,11 +65,6 @@ struct FedConfig {
   /// kUniformPerRound only: rounds per epoch (0 = ceil(clients / round size),
   /// matching the shuffled-epoch round count).
   std::size_t rounds_per_epoch = 0;
-  /// kUniformPerRound + ThreadPool only: overlap round t+1's local training
-  /// with round t's aggregation/apply whenever the two rounds' touched-row
-  /// sets are provably disjoint (RoundEngine falls back to the serial
-  /// schedule on conflict, so results are bit-identical either way).
-  bool pipeline_rounds = true;
   /// Total training epochs; one epoch cycles every client once (paper: 200).
   std::size_t epochs = 200;
   /// C: L2 bound on each uploaded gradient row.

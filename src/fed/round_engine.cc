@@ -57,10 +57,6 @@ RoundEngine::RoundEngine(const FedConfig* config, MfModel* model,
 void RoundEngine::BeginEpoch(std::size_t epoch) {
   epoch_ = epoch;
   round_in_epoch_ = 0;
-  // Pipelining never crosses an epoch boundary (negatives resample below);
-  // clear any stale pre-drawn state defensively.
-  have_next_selection_ = false;
-  have_next_updates_ = false;
 
   // Per-epoch negative resampling (the paper samples V-_i' per client; fresh
   // negatives each epoch are the standard BPR variant and converge better).
@@ -110,13 +106,8 @@ void RoundEngine::BeginEpoch(std::size_t epoch) {
 }
 
 void RoundEngine::Select() {
-  SelectInto(workspace_.selected_benign, workspace_.selected_malicious);
-}
-
-void RoundEngine::SelectInto(std::vector<std::uint32_t>& selected_benign,
-                             std::vector<std::uint32_t>& selected_malicious) {
-  selected_benign.clear();
-  selected_malicious.clear();
+  workspace_.selected_benign.clear();
+  workspace_.selected_malicious.clear();
 
   std::vector<std::uint32_t>& order = workspace_.order;
   const std::size_t total = TotalClients();
@@ -125,9 +116,9 @@ void RoundEngine::SelectInto(std::vector<std::uint32_t>& selected_benign,
 
   const auto route = [&](std::uint32_t id) {
     if (id < num_benign) {
-      selected_benign.push_back(id);
+      workspace_.selected_benign.push_back(id);
     } else {
-      selected_malicious.push_back(id);
+      workspace_.selected_malicious.push_back(id);
     }
   };
 
@@ -251,129 +242,31 @@ std::size_t RoundEngine::ApplyTransitFaults() {
   return live_uploads_;
 }
 
-void RoundEngine::NoteSkippedRound() {
-  ++fault_stats_.skipped_rounds;
-  FEDREC_LOG(Info) << "round " << global_round_ << " skipped: "
-                   << live_benign_ << " surviving benign uploads below quorum "
-                   << config_->min_round_quorum;
-}
-
 void RoundEngine::AdvanceClock(std::uint64_t ticks) {
   clock_.Advance(ticks);
   fault_stats_.virtual_ticks = clock_.ticks();
 }
 
-void RoundEngine::Aggregate() { AggregateWith(pool_); }
-
-void RoundEngine::AggregateWith(ThreadPool* pool) {
+void RoundEngine::Aggregate() {
   AggregateUpdates(
       std::span<const ClientUpdate>(workspace_.updates.data(), live_uploads_),
       model_->dim(), config_->aggregator, workspace_.aggregation,
-      workspace_.delta, pool);
+      workspace_.delta, pool_);
 }
 
 void RoundEngine::Apply() {
   model_->ApplySparseGradient(workspace_.delta, config_->model.learning_rate);
 }
 
-bool RoundEngine::CanPipelineNextRound() const {
-  // Active faults force the serial schedule: results are bit-identical either
-  // way (test-enforced), so only throughput is given up, and the transit /
-  // quorum stages stay trivially ordered against the overlapped LocalTrain.
-  return config_->participation == ParticipationMode::kUniformPerRound &&
-         config_->pipeline_rounds && pool_ != nullptr &&
-         pool_->thread_count() > 1 &&
-         round_in_epoch_ + 1 < rounds_this_epoch_ && !faults_active();
-}
-
-bool RoundEngine::TouchedRowsConflict() {
-  // Rows round t writes: delta.rows() is a subset of the uploads' row union,
-  // so the union (realized uploads, malicious included) is a safe superset.
-  std::vector<std::size_t>& current = workspace_.touched_current;
-  current.clear();
-  for (const ClientUpdate& update : workspace_.updates) {
-    const auto& rows = update.item_gradients.row_ids();
-    current.insert(current.end(), rows.begin(), rows.end());
-  }
-  std::sort(current.begin(), current.end());
-
-  // Rows round t+1's LocalTrain reads/touches: each selected client pairs
-  // its positives with its current negatives, so pos ∪ neg is a superset.
-  std::vector<std::size_t>& next = workspace_.touched_next;
-  next.clear();
-  const std::vector<Client>& clients = *benign_clients_;
-  for (std::uint32_t id : workspace_.next_selected_benign) {
-    for (std::uint32_t item : clients[id].positives()) next.push_back(item);
-    for (std::uint32_t item : clients[id].negatives()) next.push_back(item);
-  }
-  std::sort(next.begin(), next.end());
-
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < current.size() && j < next.size()) {
-    if (current[i] < next[j]) {
-      ++i;
-    } else if (current[i] > next[j]) {
-      ++j;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
-void RoundEngine::LaunchNextLocalTrain() {
-  const std::vector<std::uint32_t>& selected = workspace_.next_selected_benign;
-  std::vector<ClientUpdate>& updates = workspace_.next_updates;
-  updates.resize(selected.size());
-  const std::size_t n = selected.size();
-  if (n == 0) return;
-  const std::size_t shards = std::min(pool_->thread_count(), n);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t begin = n * s / shards;
-    const std::size_t end = n * (s + 1) / shards;
-    tasks.emplace_back([this, begin, end] {
-      const std::vector<std::uint32_t>& sel = workspace_.next_selected_benign;
-      std::vector<ClientUpdate>& slots = workspace_.next_updates;
-      for (std::size_t i = begin; i < end; ++i) {
-        (*benign_clients_)[sel[i]].TrainRoundInto(model_->item_factors(),
-                                                  *config_, slots[i]);
-      }
-    });
-  }
-  pool_->SubmitBatch(std::move(tasks));
-}
-
-double RoundEngine::RunRound(const RoundObserver& observer) {
+bool RoundEngine::RunClientStages(const RoundObserver& observer,
+                                  double& loss) {
   FEDREC_CHECK(HasNextRound()) << "epoch " << epoch_ << " has no rounds left";
-  double loss = 0.0;
-  if (have_next_selection_) {
+  {
     obs::ScopedSpan span("select", stage_.select);
-    std::swap(workspace_.selected_benign, workspace_.next_selected_benign);
-    std::swap(workspace_.selected_malicious,
-              workspace_.next_selected_malicious);
-    have_next_selection_ = false;
-    if (have_next_updates_) {
-      // This round's LocalTrain already ran, overlapped with the previous
-      // round's Aggregate/Apply; adopt its uploads and pre-reduced loss.
-      std::swap(workspace_.updates, workspace_.next_updates);
-      workspace_.is_malicious.assign(workspace_.updates.size(), false);
-      live_uploads_ = workspace_.updates.size();
-      live_benign_ = workspace_.updates.size();
-      loss = next_loss_;
-      have_next_updates_ = false;
-    } else {
-      obs::ScopedSpan train_span("local_train", stage_.local_train);
-      loss = LocalTrain();
-    }
-  } else {
-    {
-      obs::ScopedSpan span("select", stage_.select);
-      Select();
-    }
-    obs::ScopedSpan train_span("local_train", stage_.local_train);
+    Select();
+  }
+  {
+    obs::ScopedSpan span("local_train", stage_.local_train);
     loss = LocalTrain();
   }
   {
@@ -388,56 +281,38 @@ double RoundEngine::RunRound(const RoundObserver& observer) {
     obs::ScopedSpan span("transit_faults", stage_.transit_faults);
     ApplyTransitFaults();
   }
-  if (faults_active() && BelowQuorum()) {
-    // Too few surviving benign uploads to trust the round: skip aggregation
-    // entirely (the model stays put) and move on.
-    NoteSkippedRound();
-    AdvanceRound();
-    obs::PublishFaultStats(fault_stats_, "engine");
-    return loss;
+  if (faults_active() && live_benign_ < config_->min_round_quorum) {
+    // Too few surviving benign uploads to trust the round: skip the server
+    // step entirely (the model stays put) and move on.
+    ++fault_stats_.skipped_rounds;
+    FEDREC_LOG(Info) << "round " << global_round_ << " skipped: "
+                     << live_benign_
+                     << " surviving benign uploads below quorum "
+                     << config_->min_round_quorum;
+    FinishRound();
+    return false;
   }
+  return true;
+}
 
-  bool overlapped = false;
-  if (CanPipelineNextRound()) {
-    SelectInto(workspace_.next_selected_benign,
-               workspace_.next_selected_malicious);
-    have_next_selection_ = true;
-    // Malicious uploads for t+1 are produced only at its Attack stage, so a
-    // next-round malicious draw forces the serial schedule; benign overlap
-    // additionally needs disjoint touched-row sets.
-    if (workspace_.next_selected_malicious.empty() && !TouchedRowsConflict()) {
-      // The pool trains round t+1 while this thread aggregates and applies
-      // round t: Apply only writes rows of the current uploads, which the
-      // conflict check proved invisible to the concurrent reads.
-      LaunchNextLocalTrain();
-      {
-        obs::ScopedSpan span("aggregate", stage_.aggregate);
-        AggregateWith(nullptr);
-      }
-      {
-        obs::ScopedSpan span("apply", stage_.apply);
-        Apply();
-      }
-      pool_->Wait();
-      next_loss_ = 0.0;
-      for (const ClientUpdate& update : workspace_.next_updates) {
-        next_loss_ += update.loss;
-      }
-      have_next_updates_ = true;
-      ++pipelined_rounds_;
-      overlapped = true;
-    }
+void RoundEngine::FinishRound() {
+  ++round_in_epoch_;
+  ++global_round_;
+  if (faults_active()) obs::PublishFaultStats(fault_stats_, "engine");
+}
+
+double RoundEngine::RunRound(const RoundObserver& observer) {
+  double loss = 0.0;
+  if (!RunClientStages(observer, loss)) return loss;
+  {
+    obs::ScopedSpan span("aggregate", stage_.aggregate);
+    Aggregate();
   }
-  if (!overlapped) {
-    {
-      obs::ScopedSpan span("aggregate", stage_.aggregate);
-      Aggregate();
-    }
+  {
     obs::ScopedSpan span("apply", stage_.apply);
     Apply();
   }
-  AdvanceRound();
-  if (faults_active()) obs::PublishFaultStats(fault_stats_, "engine");
+  FinishRound();
   return loss;
 }
 
@@ -447,16 +322,7 @@ RoundEngineSnapshot RoundEngine::Snapshot() const {
   snapshot.round_in_epoch = round_in_epoch_;
   snapshot.rounds_this_epoch = rounds_this_epoch_;
   snapshot.global_round = global_round_;
-  snapshot.pipelined_rounds = pipelined_rounds_;
   snapshot.order = workspace_.order;
-  snapshot.have_next_selection = have_next_selection_;
-  if (have_next_selection_) {
-    snapshot.next_selected_benign = workspace_.next_selected_benign;
-    snapshot.next_selected_malicious = workspace_.next_selected_malicious;
-  }
-  snapshot.have_next_updates = have_next_updates_;
-  if (have_next_updates_) snapshot.next_updates = workspace_.next_updates;
-  snapshot.next_loss = next_loss_;
   snapshot.fault_stats = fault_stats_;
   snapshot.clock_ticks = clock_.ticks();
   return snapshot;
@@ -467,14 +333,7 @@ void RoundEngine::Restore(const RoundEngineSnapshot& snapshot) {
   round_in_epoch_ = snapshot.round_in_epoch;
   rounds_this_epoch_ = snapshot.rounds_this_epoch;
   global_round_ = snapshot.global_round;
-  pipelined_rounds_ = snapshot.pipelined_rounds;
   workspace_.order = snapshot.order;
-  have_next_selection_ = snapshot.have_next_selection;
-  workspace_.next_selected_benign = snapshot.next_selected_benign;
-  workspace_.next_selected_malicious = snapshot.next_selected_malicious;
-  have_next_updates_ = snapshot.have_next_updates;
-  if (have_next_updates_) workspace_.next_updates = snapshot.next_updates;
-  next_loss_ = snapshot.next_loss;
   fault_stats_ = snapshot.fault_stats;
   clock_ = VirtualClock();
   clock_.Advance(snapshot.clock_ticks);

@@ -19,7 +19,15 @@
 /// \file
 /// The server's round loop, decomposed into its protocol stages:
 ///
-///   Select -> LocalTrain -> Attack -> Observe -> Aggregate -> Apply
+///   Select -> LocalTrain -> Attack -> Observe -> TransitFaults
+///     -> Aggregate -> Apply
+///
+/// A round is strictly sequential (Section III, Eq. 7): the selected clients
+/// train against the current V, then the server aggregates their uploads and
+/// applies the result. RunClientStages runs the first five stages, the client
+/// side of the round, for both the single-server path (RunRound) and the
+/// sharded one (shard/sharded_round_engine.h), which differ only in the
+/// server step that follows.
 ///
 /// Every stage operates over one reusable RoundWorkspace: the selection
 /// vectors, the update slots (recycled through Client::TrainRoundInto), the
@@ -31,26 +39,14 @@
 /// per round instead of materializing a dense num_items x dim gradient, and
 /// the aggregation itself shards across the pool by contiguous row ranges.
 ///
-/// Under ParticipationMode::kUniformPerRound with a pool, RunRound pipelines
-/// adjacent rounds: round t+1's selection is pre-drawn (the server rng is
-/// only ever consumed by selection, so the draw order matches the serial
-/// schedule), and when the touched-row sets of round t's uploads and round
-/// t+1's positives+negatives are disjoint, round t+1's LocalTrain runs on
-/// the pool while this thread aggregates and applies round t. On conflict
-/// (or whenever malicious clients are in the next draw) the engine falls
-/// back to the serial schedule, so results are bit-identical either way.
-///
 /// Simulation (fed/simulation.h) drives the engine epoch by epoch; tests and
 /// custom drivers may also invoke the stages individually.
 
 namespace fedrec {
 
-/// Per-round server state, reused across rounds (capacity is never released).
-/// The `next_*` members double-buffer the pipelined schedule: while round t
-/// aggregates and applies, round t+1's selection and uploads build up in
-/// them, and the buffers swap when the round advances — every ClientUpdate
-/// slot (and its SparseRowMatrix heap buffers) is recycled via
-/// Client::TrainRoundInto, so steady-state rounds allocate nothing.
+/// Per-round server state, reused across rounds (capacity is never released):
+/// every ClientUpdate slot (and its SparseRowMatrix heap buffers) is recycled
+/// via Client::TrainRoundInto, so steady-state rounds allocate nothing.
 struct RoundWorkspace {
   /// Participation permutation. Shuffled-epoch mode shuffles the whole vector
   /// once per epoch; uniform-per-round mode draws each round's sample via a
@@ -70,18 +66,6 @@ struct RoundWorkspace {
   AggregationWorkspace aggregation;
   /// The round's touched-row aggregate.
   SparseRoundDelta delta;
-
-  // -- Pipelining double buffers (kUniformPerRound + pool only) -------------
-  /// Round t+1's selection, pre-drawn during round t (same server-rng draw
-  /// order as the serial schedule: nothing else consumes that stream).
-  std::vector<std::uint32_t> next_selected_benign;
-  std::vector<std::uint32_t> next_selected_malicious;
-  /// Round t+1's benign uploads when its LocalTrain overlapped round t.
-  std::vector<ClientUpdate> next_updates;
-  /// Conflict-check scratch: sorted touched-row sets of the current round's
-  /// uploads and of the next selection's positives+negatives.
-  std::vector<std::size_t> touched_current;
-  std::vector<std::size_t> touched_next;
 };
 
 /// Read-only view of the server state an attacker legitimately observes when
@@ -128,22 +112,14 @@ using RoundObserver =
 
 /// Serializable engine-progress state for shard/checkpoint.h: the round
 /// counters, the participation order (mutated by every selection draw, so it
-/// is stream state), the failure counters, and the pipelining double buffer
-/// (round t+1's pre-drawn selection and possibly its already-trained uploads
-/// — both consumed rng, so a checkpoint must carry them).
+/// is stream state), the failure counters and the virtual clock. Rounds never
+/// overlap, so nothing of the next round exists between two rounds.
 struct RoundEngineSnapshot {
   std::size_t epoch = 0;
   std::size_t round_in_epoch = 0;
   std::size_t rounds_this_epoch = 0;
   std::size_t global_round = 0;
-  std::size_t pipelined_rounds = 0;
   std::vector<std::uint32_t> order;
-  bool have_next_selection = false;
-  std::vector<std::uint32_t> next_selected_benign;
-  std::vector<std::uint32_t> next_selected_malicious;
-  bool have_next_updates = false;
-  std::vector<ClientUpdate> next_updates;
-  double next_loss = 0.0;
   FaultStats fault_stats;
   std::uint64_t clock_ticks = 0;
 };
@@ -165,9 +141,26 @@ class RoundEngine {
   /// True while the current epoch has rounds left to run.
   bool HasNextRound() const { return round_in_epoch_ < rounds_this_epoch_; }
 
-  /// Runs all six stages of one round and advances the round counters.
-  /// Returns the round's summed benign BPR loss. `observer` may be null.
+  /// Runs every stage of one round (RunClientStages, then Aggregate and
+  /// Apply unless the round was skipped) and finishes it. Returns the round's
+  /// summed benign BPR loss. `observer` may be null.
   double RunRound(const RoundObserver& observer);
+
+  /// The client side of one round, shared by RunRound and the sharded server
+  /// path (shard/sharded_round_engine.h): Select, LocalTrain, Attack, Observe
+  /// and ApplyTransitFaults under their stage spans. Stores the summed benign
+  /// loss in `loss`. When faults are active and the surviving benign uploads
+  /// miss config.min_round_quorum, the round is skipped: logged, counted in
+  /// fault_stats().skipped_rounds and finished (FinishRound) with the model
+  /// untouched, and the call returns false. Otherwise it returns true and the
+  /// caller runs its server step over the surviving uploads, then calls
+  /// FinishRound.
+  bool RunClientStages(const RoundObserver& observer, double& loss);
+
+  /// Ends the current round: advances the round counters and, when faults
+  /// are active, republishes the engine's fault ledger as
+  /// fedrec_fault_*{scope="engine"}.
+  void FinishRound();
 
   // -- Individual stages, in protocol order (exposed for tests and custom
   //    drivers; RunRound invokes them in exactly this sequence) -------------
@@ -194,31 +187,18 @@ class RoundEngine {
   /// Applies the delta to the shared item matrix (Eq. 7).
   void Apply();
 
-  /// Advances the round counters without running any stage — for external
-  /// drivers (the sharded federation layer in src/shard) that execute
-  /// Select/LocalTrain/Attack/Observe here but replace Aggregate/Apply with
-  /// their own server path. RunRound calls this itself; never combine both.
-  void AdvanceRound() {
-    ++round_in_epoch_;
-    ++global_round_;
-  }
-
   std::size_t epoch() const { return epoch_; }
   std::size_t round_in_epoch() const { return round_in_epoch_; }
   std::size_t rounds_this_epoch() const { return rounds_this_epoch_; }
   std::size_t global_round() const { return global_round_; }
   std::size_t num_malicious() const { return num_malicious_; }
   const RoundWorkspace& workspace() const { return workspace_; }
-  /// Rounds whose LocalTrain overlapped the previous round's Aggregate/Apply
-  /// (kUniformPerRound pipelining; 0 under the serial schedule).
-  std::size_t pipelined_rounds() const { return pipelined_rounds_; }
 
   // -- Fault tolerance ------------------------------------------------------
 
   /// Installs a borrowed fault plan (null to clear). A disabled plan leaves
   /// every path bit-identical to no plan; an enabled one activates the
-  /// transit-fault and quorum stages (and disables round pipelining — the
-  /// serial schedule is bit-identical anyway, so only throughput changes).
+  /// transit-fault and quorum stages.
   void SetFaultPlan(const FaultPlan* plan) { fault_plan_ = plan; }
   const FaultPlan* fault_plan() const { return fault_plan_; }
   bool faults_active() const {
@@ -228,15 +208,6 @@ class RoundEngine {
   /// faults are inactive). The front `live_uploads()` entries of
   /// workspace().updates are the survivors, in update order.
   std::size_t live_uploads() const { return live_uploads_; }
-  /// Surviving benign uploads — the quorum-counted subset.
-  std::size_t live_benign_uploads() const { return live_benign_; }
-  /// True when the surviving benign uploads miss config.min_round_quorum.
-  bool BelowQuorum() const {
-    return live_benign_ < config_->min_round_quorum;
-  }
-  /// Records a below-quorum round that was skipped (log + counter); the
-  /// caller still advances the round.
-  void NoteSkippedRound();
   /// Advances the virtual clock (retry backoffs of external server paths).
   void AdvanceClock(std::uint64_t ticks);
   const FaultStats& fault_stats() const { return fault_stats_; }
@@ -253,24 +224,6 @@ class RoundEngine {
   }
   RoundContext MakeContext() const;
 
-  /// Draws one round's participants into the given vectors (shared by
-  /// Select() and the pipelined pre-sampling of round t+1).
-  void SelectInto(std::vector<std::uint32_t>& selected_benign,
-                  std::vector<std::uint32_t>& selected_malicious);
-  /// True when the *next* round may be pre-sampled and considered for
-  /// pipelining: uniform participation, pool present, pipelining enabled,
-  /// and another round left in this epoch.
-  bool CanPipelineNextRound() const;
-  /// True when the current round's uploads and the next selection's
-  /// positive+negative sets share an item row (sorted-union intersection).
-  bool TouchedRowsConflict();
-  /// Enqueues next_selected_benign's TrainRoundInto calls on the pool
-  /// without waiting (static chunks, one task per pool thread).
-  void LaunchNextLocalTrain();
-  /// Aggregate stage with an explicit pool (null = inline on this thread,
-  /// used while the pool is busy with the overlapped LocalTrain).
-  void AggregateWith(ThreadPool* pool);
-
   const FedConfig* config_;
   MfModel* model_;
   std::vector<Client>* benign_clients_;
@@ -283,12 +236,6 @@ class RoundEngine {
   std::size_t round_in_epoch_ = 0;
   std::size_t rounds_this_epoch_ = 0;
   std::size_t global_round_ = 0;
-  // Pipeline state: whether workspace_.next_* holds round t+1's selection
-  // (and, when its LocalTrain already overlapped round t, its uploads).
-  bool have_next_selection_ = false;
-  bool have_next_updates_ = false;
-  double next_loss_ = 0.0;
-  std::size_t pipelined_rounds_ = 0;
   // Fault state: borrowed plan (null = fault-free), the current round's
   // transit draw (retained buffer), cumulative stats, the virtual clock, and
   // the surviving-upload counters ApplyTransitFaults maintains.
@@ -299,7 +246,7 @@ class RoundEngine {
   std::size_t live_uploads_ = 0;
   std::size_t live_benign_ = 0;
   // Per-stage latency histograms (fedrec_stage_us{stage=...}), fetched once
-  // from the global registry at construction; RunRound's spans observe into
+  // from the global registry at construction; the stage spans observe into
   // them and the trace ring. Observe-only — never read back.
   struct StageMetrics {
     obs::Histogram* select = nullptr;

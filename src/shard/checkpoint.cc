@@ -14,14 +14,12 @@ namespace fedrec {
 namespace {
 
 constexpr std::uint32_t kCheckpointMagic = 0x4B435246;  // "FRCK"
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 // Conservative minimum encoded sizes, used to bound counts against the
 // remaining buffer before any allocation: a hostile count field would
 // otherwise drive a giant resize before its reads could fail.
 constexpr std::size_t kMinRngBytes = 5 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
-constexpr std::size_t kMinUpdateBytes =
-    sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t) + 36;  // header + min FRWU
 constexpr std::size_t kMinClientBytes = 2 * sizeof(std::uint64_t) + kMinRngBytes;
 
 std::uint64_t Mix(std::uint64_t hash, std::uint64_t value) {
@@ -166,7 +164,7 @@ std::uint64_t CheckpointFingerprint(const FedConfig& config,
   // Order-sensitive SplitMix64 chain over every field that shapes the
   // trajectory; floats enter by bit pattern so -0.0 vs 0.0 etc. stay
   // distinguishable exactly when their streams would differ.
-  std::uint64_t h = 0x4652434B00000001ULL;  // "FRCK" v1 salt
+  std::uint64_t h = 0x4652434B00000001ULL;  // "FRCK" salt
   h = Mix(h, config.seed);
   h = Mix(h, config.model.dim);
   h = MixF32(h, config.model.learning_rate);
@@ -175,7 +173,6 @@ std::uint64_t CheckpointFingerprint(const FedConfig& config,
   h = Mix(h, config.clients_per_round);
   h = Mix(h, static_cast<std::uint64_t>(config.participation));
   h = Mix(h, config.rounds_per_epoch);
-  h = Mix(h, config.pipeline_rounds ? 1 : 0);
   h = Mix(h, config.epochs);
   h = MixF32(h, config.clip_norm);
   h = MixF32(h, config.noise_scale);
@@ -202,7 +199,7 @@ std::uint64_t CheckpointFingerprint(const FedConfig& config,
 }
 
 // fedrec:hot — checkpoint encode streams the whole training state into the
-// caller's retained buffer; nested uploads reuse the FRWU wire encoder.
+// caller's retained buffer.
 void EncodeCheckpoint(const TrainingCheckpoint& checkpoint,
                       BinaryWriter& writer) {
   writer.WriteU32(kCheckpointMagic);
@@ -221,23 +218,7 @@ void EncodeCheckpoint(const TrainingCheckpoint& checkpoint,
   writer.WriteU64(engine.round_in_epoch);
   writer.WriteU64(engine.rounds_this_epoch);
   writer.WriteU64(engine.global_round);
-  writer.WriteU64(engine.pipelined_rounds);
   WriteU32Vector(engine.order, writer);
-  writer.WriteU32(engine.have_next_selection ? 1u : 0u);
-  WriteU32Vector(engine.next_selected_benign, writer);
-  WriteU32Vector(engine.next_selected_malicious, writer);
-  writer.WriteU32(engine.have_next_updates ? 1u : 0u);
-  writer.WriteU64(engine.next_updates.size());
-  for (std::size_t i = 0; i < engine.next_updates.size(); ++i) {
-    const ClientUpdate& update = engine.next_updates[i];
-    writer.WriteU32(update.user);
-    WriteF64(update.loss, writer);
-    writer.WriteU64(update.pair_count);
-    // The gradient rows ride as a nested FRWU message (its own CRC included);
-    // the slot index doubles as the source id, re-validated on decode.
-    EncodeUpload(update.item_gradients, /*source=*/i, writer);
-  }
-  WriteF64(engine.next_loss, writer);
   WriteFaultStats(engine.fault_stats, writer);
   writer.WriteU64(engine.clock_ticks);
 
@@ -300,35 +281,8 @@ Status DecodeCheckpoint(BinaryReader& reader, TrainingCheckpoint& out) {
   FEDREC_RETURN_NOT_OK(ReadSizeInto(reader, engine.round_in_epoch));
   FEDREC_RETURN_NOT_OK(ReadSizeInto(reader, engine.rounds_this_epoch));
   FEDREC_RETURN_NOT_OK(ReadSizeInto(reader, engine.global_round));
-  FEDREC_RETURN_NOT_OK(ReadSizeInto(reader, engine.pipelined_rounds));
   FEDREC_RETURN_NOT_OK(
       ReadU32Vector(reader, engine.order, "FRCK participation order"));
-  FEDREC_RETURN_NOT_OK(ReadBoolInto(reader, engine.have_next_selection));
-  FEDREC_RETURN_NOT_OK(ReadU32Vector(reader, engine.next_selected_benign,
-                                     "FRCK next benign selection"));
-  FEDREC_RETURN_NOT_OK(ReadU32Vector(reader, engine.next_selected_malicious,
-                                     "FRCK next malicious selection"));
-  FEDREC_RETURN_NOT_OK(ReadBoolInto(reader, engine.have_next_updates));
-  std::uint64_t update_count = 0;
-  FEDREC_RETURN_NOT_OK(ReadU64Into(reader, update_count));
-  FEDREC_RETURN_NOT_OK(
-      BoundCount(reader, update_count, kMinUpdateBytes, "FRCK next uploads"));
-  engine.next_updates.resize(  // fedrec:alloc-ok — restored upload slots
-      static_cast<std::size_t>(update_count));
-  for (std::size_t i = 0; i < engine.next_updates.size(); ++i) {
-    ClientUpdate& update = engine.next_updates[i];
-    Result<std::uint32_t> user = reader.ReadU32();
-    if (!user.ok()) return user.status();
-    update.user = user.value();
-    FEDREC_RETURN_NOT_OK(ReadF64Into(reader, update.loss));
-    FEDREC_RETURN_NOT_OK(ReadSizeInto(reader, update.pair_count));
-    Result<std::uint64_t> source = DecodeUpload(reader, update.item_gradients);
-    if (!source.ok()) return source.status();
-    if (source.value() != i) {
-      return Status::Corruption("FRCK checkpoint: nested upload out of order");
-    }
-  }
-  FEDREC_RETURN_NOT_OK(ReadF64Into(reader, engine.next_loss));
   FEDREC_RETURN_NOT_OK(ReadFaultStats(reader, engine.fault_stats));
   FEDREC_RETURN_NOT_OK(ReadU64Into(reader, engine.clock_ticks));
 

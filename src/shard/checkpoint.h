@@ -15,20 +15,20 @@
 
 /// \file
 /// Round checkpoint / recovery for the federation layer ("FRCK" format,
-/// version 1).
+/// version 2).
 ///
 /// A checkpoint captures everything a mid-training Simulation needs to
 /// continue bit-identically to the uninterrupted run: the shared item matrix,
 /// every rng cursor (server selection stream, each client's private stream),
 /// each client's local state (feature vector, epoch negative set), the
-/// engine's round counters and participation order, the pipelining double
-/// buffer (round t+1's pre-drawn selection and possibly its already-trained
-/// uploads — both consumed rng, so dropping them would desynchronize the
-/// stream), and the fault counters plus virtual clock. Killing a run after
-/// any completed round, restoring the checkpoint into a freshly constructed
-/// Simulation over the same dataset and config, and finishing the schedule
-/// produces the same bytes as never having stopped (checkpoint_test enforces
-/// this, faults and pipelining included).
+/// engine's round counters and participation order, and the fault counters
+/// plus virtual clock. Rounds run strictly one after another, so no part of
+/// the next round (a pre-drawn selection, trained uploads) exists between two
+/// rounds and none is stored. Killing a run after any completed round,
+/// restoring the checkpoint into a freshly constructed Simulation over the
+/// same dataset and config, and finishing the schedule produces the same
+/// bytes as never having stopped (checkpoint_test enforces this in shuffled
+/// and uniform participation, with a pool and under faults).
 ///
 /// The codec reuses BinaryWriter/BinaryReader and follows the wire-v2
 /// checksum convention (shard/wire.h): a trailing CRC32 covers every byte

@@ -8,16 +8,15 @@
 #include "fed/config.h"
 #include "fed/round_engine.h"
 #include "model/mf_model.h"
-#include "obs/metrics.h"
 #include "shard/shard_server.h"
 #include "shard/transport.h"
 
 /// \file
 /// Sharded federation round loop: the client-facing stages
-/// (Select/LocalTrain/Attack/Observe) run unchanged on the wrapped
-/// RoundEngine, and the server side — the stage a single box cannot scale to
-/// a catalogue-sized item matrix under heavy traffic — is one ServerRound
-/// over the multi-shard path of ShardServer:
+/// (Select/LocalTrain/Attack/Observe/TransitFaults) run unchanged through the
+/// wrapped RoundEngine's RunClientStages, and the server side — the stage a
+/// single box cannot scale to a catalogue-sized item matrix under heavy
+/// traffic — is one ServerRound over the multi-shard path of ShardServer:
 ///
 ///   Select -> LocalTrain -> Attack -> Observe -> TransitFaults
 ///     -> Route (FRWU wire) -> per-shard Aggregate -> FRWD wire -> Merge
@@ -91,10 +90,6 @@ class ShardedRoundEngine {
   const FaultStats& wire_fault_stats() const { return wire_stats_; }
 
  private:
-  /// Fetches the client-stage histograms from the global registry (shared
-  /// constructor tail).
-  void InitStageMetrics();
-
   RoundEngine* engine_;
   MfModel* model_;
   const FedConfig* config_;
@@ -103,17 +98,6 @@ class ShardedRoundEngine {
   ShardTransport* transport_;
   ServerRound server_round_;
   FaultStats wire_stats_;
-  // Client-stage histograms (fedrec_stage_us{stage=...}); observe-only. They
-  // resolve to the same registry instances RoundEngine registers, so the
-  // single-server and sharded paths share one per-stage series.
-  struct StageMetrics {
-    obs::Histogram* select = nullptr;
-    obs::Histogram* local_train = nullptr;
-    obs::Histogram* attack = nullptr;
-    obs::Histogram* observe = nullptr;
-    obs::Histogram* transit_faults = nullptr;
-  };
-  StageMetrics stage_;
 };
 
 }  // namespace fedrec

@@ -1,5 +1,7 @@
 #include "shard/checkpoint.h"
 
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -67,41 +69,75 @@ bool SameRng(const RngSnapshot& a, const RngSnapshot& b) {
 // --- Fingerprint ------------------------------------------------------------
 
 TEST(CheckpointFingerprintTest, SensitiveToEveryTrajectoryShapingField) {
+  // One row per config field CheckpointFingerprint mixes: changing any one
+  // of them must change the fingerprint, and no two changes may collide.
+  struct FieldChange {
+    const char* field;
+    void (*apply)(FedConfig&);
+  };
+  const FieldChange changes[] = {
+      {"seed", [](FedConfig& c) { c.seed = 99; }},
+      {"model.dim", [](FedConfig& c) { c.model.dim = 16; }},
+      {"model.learning_rate",
+       [](FedConfig& c) { c.model.learning_rate = 0.02f; }},
+      {"model.l2_reg", [](FedConfig& c) { c.model.l2_reg = 0.001f; }},
+      {"model.init_std", [](FedConfig& c) { c.model.init_std = 0.2f; }},
+      {"clients_per_round", [](FedConfig& c) { c.clients_per_round = 8; }},
+      {"participation",
+       [](FedConfig& c) {
+         c.participation = ParticipationMode::kUniformPerRound;
+       }},
+      {"rounds_per_epoch", [](FedConfig& c) { c.rounds_per_epoch = 5; }},
+      {"epochs", [](FedConfig& c) { c.epochs = 5; }},
+      {"clip_norm", [](FedConfig& c) { c.clip_norm = 0.5f; }},
+      {"noise_scale", [](FedConfig& c) { c.noise_scale = 0.1f; }},
+      {"negatives_per_positive",
+       [](FedConfig& c) { c.negatives_per_positive = 2; }},
+      {"aggregator.kind",
+       [](FedConfig& c) { c.aggregator.kind = AggregatorKind::kMedian; }},
+      {"aggregator.trim_fraction",
+       [](FedConfig& c) { c.aggregator.trim_fraction = 0.2; }},
+      {"aggregator.norm_bound",
+       [](FedConfig& c) { c.aggregator.norm_bound = 2.0; }},
+      {"aggregator.krum_honest",
+       [](FedConfig& c) { c.aggregator.krum_honest = 5; }},
+      {"min_round_quorum", [](FedConfig& c) { c.min_round_quorum = 3; }},
+      {"max_shard_retries", [](FedConfig& c) { c.max_shard_retries = 4; }},
+      {"shard_retry_backoff_ticks",
+       [](FedConfig& c) { c.shard_retry_backoff_ticks = 3; }},
+      {"faults.dropout_rate",
+       [](FedConfig& c) { c.faults.dropout_rate = 0.1; }},
+      {"faults.straggler_rate",
+       [](FedConfig& c) { c.faults.straggler_rate = 0.1; }},
+      {"faults.straggler_max_ticks",
+       [](FedConfig& c) { c.faults.straggler_max_ticks = 9; }},
+      {"faults.round_deadline_ticks",
+       [](FedConfig& c) { c.faults.round_deadline_ticks = 5; }},
+      {"faults.upload_corrupt_rate",
+       [](FedConfig& c) { c.faults.upload_corrupt_rate = 0.1; }},
+      {"faults.delta_corrupt_rate",
+       [](FedConfig& c) { c.faults.delta_corrupt_rate = 0.1; }},
+      {"faults.shard_outage_rate",
+       [](FedConfig& c) { c.faults.shard_outage_rate = 0.1; }},
+      {"faults.fault_seed", [](FedConfig& c) { c.faults.fault_seed = 7; }},
+  };
+  static_assert(std::size(changes) == 27,
+                "one row per config field the fingerprint mixes");
+
   const FedConfig base = SmallConfig();
   const std::uint64_t reference = CheckpointFingerprint(base, 90, 60, 0);
-
-  FedConfig changed = base;
-  changed.seed = 99;
-  EXPECT_NE(CheckpointFingerprint(changed, 90, 60, 0), reference);
-
-  changed = base;
-  changed.model.dim = 16;
-  EXPECT_NE(CheckpointFingerprint(changed, 90, 60, 0), reference);
-
-  changed = base;
-  changed.clients_per_round = 8;
-  EXPECT_NE(CheckpointFingerprint(changed, 90, 60, 0), reference);
-
-  changed = base;
-  changed.participation = ParticipationMode::kUniformPerRound;
-  EXPECT_NE(CheckpointFingerprint(changed, 90, 60, 0), reference);
-
-  changed = base;
-  changed.faults.dropout_rate = 0.1;
-  EXPECT_NE(CheckpointFingerprint(changed, 90, 60, 0), reference);
-
-  changed = base;
-  changed.faults.fault_seed = 7;
-  EXPECT_NE(CheckpointFingerprint(changed, 90, 60, 0), reference);
-
-  changed = base;
-  changed.aggregator.kind = AggregatorKind::kMedian;
-  EXPECT_NE(CheckpointFingerprint(changed, 90, 60, 0), reference);
-
-  EXPECT_NE(CheckpointFingerprint(base, 91, 60, 0), reference);
-  EXPECT_NE(CheckpointFingerprint(base, 90, 61, 0), reference);
-  EXPECT_NE(CheckpointFingerprint(base, 90, 60, 5), reference);
   EXPECT_EQ(CheckpointFingerprint(base, 90, 60, 0), reference);
+  std::set<std::uint64_t> seen = {reference};
+  for (const FieldChange& change : changes) {
+    FedConfig changed = base;
+    change.apply(changed);
+    EXPECT_TRUE(seen.insert(CheckpointFingerprint(changed, 90, 60, 0)).second)
+        << change.field << " does not change the fingerprint";
+  }
+  // The dataset shape: item, benign and malicious counts.
+  EXPECT_TRUE(seen.insert(CheckpointFingerprint(base, 91, 60, 0)).second);
+  EXPECT_TRUE(seen.insert(CheckpointFingerprint(base, 90, 61, 0)).second);
+  EXPECT_TRUE(seen.insert(CheckpointFingerprint(base, 90, 60, 5)).second);
 }
 
 // --- Codec ------------------------------------------------------------------
@@ -133,10 +169,6 @@ TEST(CheckpointCodecTest, CaptureEncodeDecodeRoundTripsEveryField) {
             original.engine.rounds_this_epoch);
   EXPECT_EQ(decoded.engine.global_round, original.engine.global_round);
   EXPECT_EQ(decoded.engine.order, original.engine.order);
-  EXPECT_EQ(decoded.engine.have_next_selection,
-            original.engine.have_next_selection);
-  EXPECT_EQ(decoded.engine.have_next_updates,
-            original.engine.have_next_updates);
   EXPECT_EQ(decoded.engine.fault_stats.dropped_uploads,
             original.engine.fault_stats.dropped_uploads);
   EXPECT_EQ(decoded.engine.clock_ticks, original.engine.clock_ticks);
@@ -165,11 +197,28 @@ TEST(CheckpointCodecTest, RejectsForeignMagicAndUnknownVersion) {
 
   BinaryWriter future;
   future.WriteU32(0x4B435246);  // "FRCK"
-  future.WriteU32(2);           // unknown version
+  future.WriteU32(3);           // unknown version
   future.WriteU32(0);
   BinaryReader future_reader = BinaryReader::View(future.buffer());
   status = DecodeCheckpoint(future_reader, out);
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
+
+  // A version-1 file (the format that carried round pipelining's double
+  // buffer): a valid current body under a v1 header. The checksum covers
+  // only the bytes after the version field, so only the version check can
+  // reject it.
+  const Dataset data = TinyData();
+  Simulation sim(data, TinyConfig(), 0, nullptr, nullptr);
+  ASSERT_GT(sim.RunRounds(1), 0u);
+  const std::string current = Encoded(CaptureCheckpoint(sim));
+  const std::size_t header = 2 * sizeof(std::uint32_t);
+  BinaryWriter v1;
+  v1.WriteU32(0x4B435246);  // "FRCK"
+  v1.WriteU32(1);
+  v1.WriteBytes(current.data() + header, current.size() - header);
+  BinaryReader v1_reader = BinaryReader::View(v1.buffer());
+  status = DecodeCheckpoint(v1_reader, out);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
 }
 
 TEST(CheckpointCodecTest, EveryByteFlipFailsWithCorruption) {
@@ -294,9 +343,9 @@ TEST(CheckpointRestoreTest, EpochBoundaryKillRestoreIsBitIdentical) {
                                 /*kill_after_rounds=*/8, /*pool=*/nullptr);
 }
 
-TEST(CheckpointRestoreTest, PipelinedUniformRoundsSurviveKillRestore) {
-  // kUniformPerRound + pool pipelines adjacent rounds, so the checkpoint must
-  // carry the pre-drawn selection and possibly round t+1's trained uploads.
+TEST(CheckpointRestoreTest, UniformRoundsWithPoolSurviveKillRestore) {
+  // kUniformPerRound draws every round from the persistent order buffer, so
+  // the checkpoint must carry that buffer; the pool trains the clients.
   FedConfig config = SmallConfig();
   config.participation = ParticipationMode::kUniformPerRound;
   ThreadPool pool(4);

@@ -1,8 +1,10 @@
 #include "fed/round_engine.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <set>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -283,7 +285,7 @@ TEST(RoundEngineTest, LargestFirstDispatchMatchesSerialSlotForSlot) {
         }
         engine.Aggregate();
         engine.Apply();
-        engine.AdvanceRound();
+        engine.FinishRound();
       }
     }
   }
@@ -417,7 +419,7 @@ TEST(ParticipationTest, UniformDefaultRoundCountMatchesShuffledEpochs) {
   EXPECT_EQ(sim.global_round(), (data.num_users() + 15) / 16);
 }
 
-// --- Round pipelining ------------------------------------------------------
+// --- Uniform participation with a pool -------------------------------------
 
 FedConfig UniformConfig(std::size_t clients_per_round, std::size_t rounds) {
   FedConfig config = SmallConfig();
@@ -430,7 +432,7 @@ FedConfig UniformConfig(std::size_t clients_per_round, std::size_t rounds) {
 Dataset SparseRegimeData() {
   // Large catalogue, few interactions per user, near-uniform item popularity
   // (no Zipf head shared by everyone): consecutive tiny selections rarely
-  // share item rows, so most rounds are eligible for overlap.
+  // share item rows.
   SyntheticConfig config;
   config.num_users = 50;
   config.num_items = 4000;
@@ -441,74 +443,55 @@ Dataset SparseRegimeData() {
   return GenerateSynthetic(config);
 }
 
-TEST(PipelineTest, NoConflictScheduleOverlapsAndStaysBitIdentical) {
-  const Dataset data = SparseRegimeData();
-  const FedConfig config = UniformConfig(3, 20);
-  ThreadPool pool(4);
-  Simulation serial(data, config, 0, nullptr, nullptr);
-  Simulation pipelined(data, config, 0, nullptr, &pool);
-  for (int e = 0; e < 3; ++e) {
-    EXPECT_DOUBLE_EQ(serial.RunEpoch(), pipelined.RunEpoch());
-  }
-  EXPECT_TRUE(serial.model().item_factors() ==
-              pipelined.model().item_factors());
-  // The serial engine never overlaps; the pooled one must actually have.
-  EXPECT_EQ(serial.engine().pipelined_rounds(), 0u);
-  EXPECT_GT(pipelined.engine().pipelined_rounds(), 0u);
+template <typename T>
+bool SameBits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
-TEST(PipelineTest, ConflictScheduleFallsBackToSerialAndStaysBitIdentical) {
-  // Tiny catalogue: every consecutive selection pair shares rows, so the
-  // engine must take the serial fallback on every round.
-  const Dataset data = SmallData();
-  const FedConfig config = UniformConfig(8, 12);
-  ThreadPool pool(4);
-  Simulation serial(data, config, 0, nullptr, nullptr);
-  Simulation pipelined(data, config, 0, nullptr, &pool);
-  for (int e = 0; e < 2; ++e) {
-    EXPECT_DOUBLE_EQ(serial.RunEpoch(), pipelined.RunEpoch());
+TEST(UniformPoolTest, EveryPoolSizeMatchesThePoolLessRunBitForBit) {
+  // Search over pool size x data regime x attack presence: a pooled
+  // uniform-mode run must reproduce the pool-less run's epoch losses and
+  // item factors bit for bit. The probe coordinator's uploads do not depend
+  // on the pool, so any difference comes from the engine's schedule.
+  struct Regime {
+    const char* name;
+    Dataset data;
+    FedConfig config;
+  };
+  const Regime regimes[] = {
+      {"small", SmallData(), UniformConfig(8, 12)},
+      {"sparse", SparseRegimeData(), UniformConfig(3, 20)}};
+  for (const Regime& regime : regimes) {
+    for (const std::size_t malicious : {0u, 6u}) {
+      const auto run = [&](ThreadPool* pool, std::vector<double>& losses) {
+        WorkspaceProbeCoordinator coordinator;
+        Simulation sim(regime.data, regime.config, malicious,
+                       malicious > 0 ? &coordinator : nullptr, pool);
+        for (int e = 0; e < 3; ++e) losses.push_back(sim.RunEpoch());
+        return sim.model().item_factors();
+      };
+      std::vector<double> reference_losses;
+      const Matrix reference = run(nullptr, reference_losses);
+      for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << regime.name << " data, " << malicious
+                     << " malicious, " << threads << " pool threads");
+        ThreadPool pool(threads);
+        std::vector<double> losses;
+        const Matrix factors = run(&pool, losses);
+        EXPECT_TRUE(SameBits<double>(losses, reference_losses));
+        EXPECT_TRUE(SameBits<float>(factors.Data(), reference.Data()));
+      }
+    }
   }
-  EXPECT_TRUE(serial.model().item_factors() ==
-              pipelined.model().item_factors());
-  EXPECT_EQ(pipelined.engine().pipelined_rounds(), 0u);
-}
-
-TEST(PipelineTest, DisableFlagForcesSerialSchedule) {
-  const Dataset data = SparseRegimeData();
-  FedConfig config = UniformConfig(3, 20);
-  config.pipeline_rounds = false;
-  ThreadPool pool(4);
-  Simulation serial(data, config, 0, nullptr, nullptr);
-  Simulation parallel(data, config, 0, nullptr, &pool);
-  for (int e = 0; e < 2; ++e) {
-    EXPECT_DOUBLE_EQ(serial.RunEpoch(), parallel.RunEpoch());
-  }
-  EXPECT_TRUE(serial.model().item_factors() == parallel.model().item_factors());
-  EXPECT_EQ(parallel.engine().pipelined_rounds(), 0u);
-}
-
-TEST(PipelineTest, MaliciousRoundsStayBitIdenticalUnderPipelining) {
-  // With malicious clients in the draw the engine only overlaps rounds whose
-  // *next* selection is purely benign; either way the trajectory must match
-  // the serial schedule exactly.
-  const Dataset data = SparseRegimeData();
-  const FedConfig config = UniformConfig(3, 20);
-  ThreadPool pool(4);
-  WorkspaceProbeCoordinator serial_coordinator;
-  WorkspaceProbeCoordinator pipelined_coordinator;
-  Simulation serial(data, config, 6, &serial_coordinator, nullptr);
-  Simulation pipelined(data, config, 6, &pipelined_coordinator, &pool);
-  for (int e = 0; e < 3; ++e) {
-    EXPECT_DOUBLE_EQ(serial.RunEpoch(), pipelined.RunEpoch());
-  }
-  EXPECT_TRUE(serial.model().item_factors() ==
-              pipelined.model().item_factors());
 }
 
 TEST(RoundEngineTest, SteadyStateRoundsAreSparseAllocationFree) {
   // Near-constant per-client interaction counts: every update slot's
   // capacity watermark is reached within the warm-up epochs, after which
-  // whole epochs of rounds touch the heap zero times.
+  // whole epochs of rounds touch the heap zero times, with or without a
+  // pool training the clients.
   SyntheticConfig data_config;
   data_config.num_users = 60;
   data_config.num_items = 90;
@@ -519,11 +502,16 @@ TEST(RoundEngineTest, SteadyStateRoundsAreSparseAllocationFree) {
   FedConfig config = SmallConfig();
   config.participation = ParticipationMode::kUniformPerRound;
   config.rounds_per_epoch = 8;
-  Simulation sim(data, config, 0, nullptr, nullptr);
-  for (int e = 0; e < 5; ++e) sim.RunEpoch();  // warm every slot's capacity
-  ResetSparseAllocationCount();
-  for (int e = 0; e < 3; ++e) sim.RunEpoch();
-  EXPECT_EQ(SparseAllocationCount(), 0u);
+  ThreadPool three_threads(3);
+  for (ThreadPool* const pool : {static_cast<ThreadPool*>(nullptr),
+                                 &three_threads}) {
+    SCOPED_TRACE(pool == nullptr ? "no pool" : "3-thread pool");
+    Simulation sim(data, config, 0, nullptr, pool);
+    for (int e = 0; e < 5; ++e) sim.RunEpoch();  // warm every slot's capacity
+    ResetSparseAllocationCount();
+    for (int e = 0; e < 3; ++e) sim.RunEpoch();
+    EXPECT_EQ(SparseAllocationCount(), 0u);
+  }
 }
 
 TEST(ParticipationTest, ModeNamesRoundTrip) {

@@ -11,6 +11,7 @@
 #include "data/public_view.h"
 #include "data/synthetic.h"
 #include "fed/simulation.h"
+#include "obs/metrics.h"
 #include "shard/shard_plan.h"
 #include "shard/shard_server.h"
 #include "shard/wire.h"
@@ -413,6 +414,34 @@ TEST(ShardedRoundEngineTest, AttackFactoryUploadsFlowThroughRoutedPath) {
   EXPECT_GT(malicious_uploads_observed, 0u);
   EXPECT_TRUE(reference.model().item_factors() ==
               sharded_sim.model().item_factors());
+}
+
+TEST(ShardedRoundEngineTest, PublishesTheEngineFaultLedger) {
+  // Transit faults thin the uploads on the sharded path too, and some rounds
+  // miss the quorum. Every round, skipped or not, must republish the
+  // engine's ledger as fedrec_fault_*{scope="engine"}, so a live scrape
+  // agrees with engine().fault_stats() once the run ends.
+  const Dataset data = EngineData();
+  FedConfig config = EngineConfig();
+  config.faults.dropout_rate = 0.5;
+  config.faults.fault_seed = 17;
+  config.min_round_quorum = 8;
+  Simulation sim(data, config, 0, nullptr, nullptr);
+  const ShardPlan plan(data.num_items(), 3, ShardPolicy::kHashed);
+  RunSharded(sim, config, plan, nullptr, 2);
+
+  const FaultStats& stats = sim.engine().fault_stats();
+  ASSERT_GT(stats.dropped_uploads, 0u);
+  ASSERT_GT(stats.skipped_rounds, 0u);
+  obs::Registry& registry = obs::Registry::Global();
+  EXPECT_EQ(registry
+                .GetGauge("fedrec_fault_dropped_uploads", "scope=\"engine\"")
+                ->Value(),
+            static_cast<std::int64_t>(stats.dropped_uploads));
+  EXPECT_EQ(registry
+                .GetGauge("fedrec_fault_skipped_rounds", "scope=\"engine\"")
+                ->Value(),
+            static_cast<std::int64_t>(stats.skipped_rounds));
 }
 
 class ShardedRoundAllocationTest
