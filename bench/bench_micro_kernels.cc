@@ -1,11 +1,12 @@
 /// Micro-benchmarks (google-benchmark) of the hot kernels behind the
-/// simulation and the attack: negative resampling, the benign client round,
+/// simulation and the attack: the pool's dispatch, negative resampling, the benign client round,
 /// full-catalog scoring, top-K selection, the attack's user approximation
 /// (Eq. 19) and poisoned-gradient computation, the aggregation rules and the
 /// wire checksum.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 
@@ -185,6 +186,29 @@ std::string PresetLabel(bool ml1m, std::size_t threads) {
   return std::string(ml1m ? "ml-1m" : "ml-100k") +
          (threads > 0 ? " pool=" + std::to_string(threads) : " serial");
 }
+
+/// Cost of one ParallelFor with an empty body on 3 workers: range(0)
+/// one-iteration chunks, after range(1) microseconds of serial work on the
+/// calling thread (0 = back to back). Only the dispatch is timed.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const auto chunks = static_cast<std::size_t>(state.range(0));
+  const auto gap = std::chrono::microseconds(state.range(1));
+  ThreadPool pool(3);
+  for (auto _ : state) {
+    for (const auto until = Clock::now() + gap; Clock::now() < until;) {
+    }
+    const auto start = Clock::now();
+    pool.ParallelFor(0, chunks, /*grain=*/1,
+                     [](std::size_t i) { benchmark::DoNotOptimize(i); });
+    state.SetIterationTime(
+        std::chrono::duration<double>(Clock::now() - start).count());
+  }
+}
+BENCHMARK(BM_ParallelForDispatch)
+    ->ArgsProduct({{12, 32, 64}, {0, 200}})
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 /// One epoch's negative resampling (RoundEngine::BeginEpoch): every preset
 /// user draws one negative per positive. range(0) picks the preset,

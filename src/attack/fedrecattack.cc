@@ -1,7 +1,6 @@
 #include "attack/fedrecattack.h"
 
 #include <algorithm>
-#include <functional>
 #include <span>
 
 #include "common/kernels.h"
@@ -65,8 +64,8 @@ void FedRecAttack::ApproximateUsers(const Matrix& item_factors,
   const std::size_t num_users = u_hat_.rows();
   const std::size_t n = public_interactions_.size();
   // Epoch e's steps live in half e % 2 of steps_, so the draws of epoch
-  // e + 1 can run on this thread while the pool applies epoch e: the draws
-  // touch only rng_ and the other half.
+  // e + 1 can run beside the applies of epoch e: the draws touch only rng_
+  // and the other half.
   DrawEpoch(num_items, steps_.data());
   for (std::size_t e = 0; e < epochs; ++e) {
     const BprStep* drawn = steps_.data() + (e % 2) * n;
@@ -77,20 +76,19 @@ void FedRecAttack::ApproximateUsers(const Matrix& item_factors,
       if (more) DrawEpoch(num_items, next);
       continue;
     }
-    const std::size_t num_tasks = std::min(
-        num_users, pool->thread_count() * kApplyTasksPerThread);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(num_tasks);
-    for (std::size_t t = 0; t < num_tasks; ++t) {
-      tasks.emplace_back([this, &item_factors, drawn,
-                          begin = t * num_users / num_tasks,
-                          end = (t + 1) * num_users / num_tasks] {
-        ApplyUserSteps(item_factors, drawn, begin, end);
-      });
-    }
-    pool->SubmitBatch(std::move(tasks));
-    if (more) DrawEpoch(num_items, next);
-    pool->Wait();
+    // Chunk 0 draws epoch e + 1; chunk t > 0 applies epoch e to the users
+    // of block t - 1. Chunks are claimed in index order, so the serial draw
+    // starts first.
+    const std::size_t num_blocks = std::min(
+        num_users, pool->thread_count() * kApplyChunksPerThread);
+    pool->ParallelFor(0, num_blocks + 1, /*grain=*/1, [&](std::size_t t) {
+      if (t == 0) {
+        if (more) DrawEpoch(num_items, next);
+        return;
+      }
+      ApplyUserSteps(item_factors, drawn, (t - 1) * num_users / num_blocks,
+                     t * num_users / num_blocks);
+    });
   }
 }
 
@@ -212,9 +210,9 @@ void FedRecAttack::ComputePoisonGradientInto(const Matrix& item_factors,
     }
   }
 
-  // Phase 1, parallel: one pool task per tile writes its users' boundary
-  // items and g'(s) weights. Fine-grained tasks let idle workers pick up a
-  // late worker's share.
+  // Phase 1, parallel: one pool chunk per tile writes its users' boundary
+  // items and g'(s) weights. Fine-grained chunks let idle threads pick up a
+  // late thread's share.
   auto score_tile = [this, num_items, dim](std::size_t tile) {
     ScoreTile(tile, num_items, dim);
   };

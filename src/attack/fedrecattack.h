@@ -19,8 +19,9 @@
 ///     and the shared item matrix V by minimizing L_rec(U, V; D') with V
 ///     frozen (Eq. 19). Each BPR-SGD epoch is a serial pass that draws the
 ///     epoch's shuffle and negatives, then a pass on the round's pool that
-///     applies every user's steps in draw order while the calling thread
-///     draws the next epoch. A step touches only its user's row of U-hat, so
+///     applies every user's steps in draw order. Both run in one ParallelFor
+///     per epoch: its first chunk draws the next epoch while the others
+///     apply this one. A step touches only its user's row of U-hat, so
 ///     the result is the serial epoch's, bit for bit, at every pool size;
 ///  2. form the poisoned gradient nabla~V = zeta * dL_atk/dV (Eq. 20), where
 ///     L_atk (Eq. 15-16) pushes every target item's score just above the
@@ -107,8 +108,8 @@ class FedRecAttack : public MaliciousCoordinator {
  private:
   /// Users scored per ScoreBlockPacked call in phase 1.
   static constexpr std::size_t kScoreTile = 8;
-  /// Eq. 19 apply tasks per pool thread.
-  static constexpr std::size_t kApplyTasksPerThread = 4;
+  /// Eq. 19 apply chunks per pool thread.
+  static constexpr std::size_t kApplyChunksPerThread = 4;
   /// boundary_ entry of a user whose whole top-K list is target items.
   static constexpr std::uint32_t kNoBoundary = 0xFFFFFFFFu;
 

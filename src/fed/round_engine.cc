@@ -153,11 +153,12 @@ double RoundEngine::LocalTrain() {
   // TrainRoundInto refills them in place — steady-state rounds (constant
   // selection size, warmed capacities) allocate nothing.
   updates.resize(selected.size());
-  // One client per task, heaviest first: client cost grows with its
-  // positives and is heavy-tailed, so the pool's FIFO queue list-schedules
-  // the longest jobs before the short ones fill the gaps. The tie-break on
-  // selection index makes the order a stable sort without its buffer. Each
-  // task writes only its own slot, so the result is schedule-independent.
+  // One client per chunk, heaviest first: client cost grows with its
+  // positives and is heavy-tailed, and the pool claims chunks in index
+  // order, so the longest jobs start before the short ones fill the gaps.
+  // The tie-break on selection index makes the order a stable sort without
+  // its buffer. Each chunk writes only its own slot, so the result is
+  // schedule-independent.
   std::vector<std::uint32_t>& dispatch = workspace_.dispatch;
   dispatch.resize(selected.size());
   for (std::size_t i = 0; i < dispatch.size(); ++i) {

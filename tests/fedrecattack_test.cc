@@ -713,6 +713,46 @@ TEST(FedRecAttackTest, ApproximationWithoutPublicDataLeavesUsersUntouched) {
   }
 }
 
+TEST(FedRecAttackTest, ApproximationBitIdenticalAcrossPoolSwitches) {
+  // One attack is driven through every pool size in turn, each call on the
+  // pool of the one before it left the stream and U-hat. After each call
+  // U-hat must equal the serial oracle's bit for bit, and the attack's next
+  // draw (its user sample) must be the oracle's next draw.
+  constexpr std::size_t kDim = 6;
+  constexpr std::size_t kItems = 70;
+  const PublicInteractions view =
+      SampleView(90, kItems, 0.3, 208, PublicSamplingMode::kCeil);
+  FedRecAttackConfig config = MakeAttackConfig({2, 9});
+  config.users_per_step = 17;
+  FedRecAttack attack(config, &view, view.num_users(), kDim);
+  SerialApproximation oracle(config, view, kDim);
+  Rng v_rng(208);
+  Matrix items(kItems, kDim);
+  items.FillGaussian(v_rng, 0.0f, 0.1f);
+  const Pools pools;
+  Matrix gradient;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t threads : kPoolSizes) {
+      const std::string where = "pass=" + std::to_string(pass) +
+                                " threads=" + std::to_string(threads);
+      for (float& v : items.Data()) {
+        v += static_cast<float>(v_rng.NextGaussian(0.0, 0.05));
+      }
+      attack.ApproximateUsers(items, 3, pools.Get(threads));
+      oracle.Run(items, 3);
+      ASSERT_TRUE(BitIdentical(attack.approximated_users(), oracle.u_hat))
+          << where;
+      attack.ComputePoisonGradientInto(items, pools.Get(threads), gradient);
+      std::vector<std::uint32_t> users;
+      for (std::size_t u : oracle.rng.SampleWithoutReplacement(
+               view.num_users(), config.users_per_step)) {
+        users.push_back(static_cast<std::uint32_t>(u));
+      }
+      ASSERT_EQ(attack.last_step_users(), users) << where;
+    }
+  }
+}
+
 TEST(FedRecAttackTest, RequiresTargets) {
   AttackTestSetup setup = MakeSetup(0.3, 100);
   FedRecAttackConfig config = MakeAttackConfig({});

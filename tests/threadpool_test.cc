@@ -1,44 +1,58 @@
 #include "common/threadpool.h"
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+/// Every operator new call in this binary, on any thread.
+std::atomic<std::uint64_t> g_operator_new_calls{0};
+
+// The replacements stay out of line, so the compiler does not pair the
+// malloc and free inside them with the new and delete expressions it
+// inlines into.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace fedrec {
 namespace {
 
-TEST(ThreadPoolTest, ExecutesSubmittedTasks) {
+TEST(ThreadPoolTest, ExecutesEveryChunk) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
+  pool.ParallelFor(0, 100, /*grain=*/1,
+                   [&counter](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitWithNoWorkReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not deadlock
 }
 
 TEST(ThreadPoolTest, ClampsToAtLeastOneThread) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.thread_count(), 1u);
   std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
+  pool.ParallelFor(0, 3, 1, [&counter](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 3);
 }
 
-TEST(ThreadPoolTest, MultipleWaitCycles) {
+TEST(ThreadPoolTest, MultipleJobs) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int cycle = 0; cycle < 5; ++cycle) {
-    for (int i = 0; i < 20; ++i) pool.Submit([&counter] { counter.fetch_add(1); });
-    pool.Wait();
+    pool.ParallelFor(0, 20, 1, [&counter](std::size_t) { counter.fetch_add(1); });
     EXPECT_EQ(counter.load(), (cycle + 1) * 20);
   }
 }
@@ -141,38 +155,144 @@ TEST(MemberParallelForTest, SingleWorkerPoolRunsInlineInOrder) {
 }
 
 TEST(ThreadPoolDeathTest, ParallelForFromAWorkerAbortsInsteadOfDeadlocking) {
-  // A worker's own task counts as in flight, so a nested ParallelFor (or
-  // Wait) on the same pool would wait for itself forever. It must abort.
+  // A worker's own chunk counts toward the job, so a nested ParallelFor on
+  // the same pool would wait for itself forever. It must abort.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
         ThreadPool pool(2);
-        pool.Submit([&pool] {
-          pool.ParallelFor(0, 8, 1, [](std::size_t) {});
+        const std::thread::id caller = std::this_thread::get_id();
+        std::atomic<bool> worker_ran{false};
+        pool.ParallelFor(0, 64, 1, [&](std::size_t) {
+          if (std::this_thread::get_id() != caller) {
+            worker_ran = true;
+            pool.ParallelFor(0, 8, 1, [](std::size_t) {});
+          }
+          // Hold the calling thread in its chunk so the workers claim the
+          // others.
+          while (!worker_ran) std::this_thread::yield();
         });
-        pool.Wait();
       },
       "own workers");
   EXPECT_DEATH(
       {
+        ThreadPool pool(2);
+        const std::thread::id caller = std::this_thread::get_id();
+        std::atomic<bool> worker_ran{false};
+        pool.ParallelFor(0, 64, 1, [&](std::size_t) {
+          if (std::this_thread::get_id() != caller) {
+            worker_ran = true;
+            ParallelFor(&pool, 1, [](std::size_t) {});
+          }
+          while (!worker_ran) std::this_thread::yield();
+        });
+      },
+      "own workers");
+}
+
+TEST(ThreadPoolDeathTest, ParallelForFromTheCallingThreadsChunkAborts) {
+  // The calling thread runs chunks too; a nested call from one of them must
+  // abort just like one from a worker.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        const std::thread::id caller = std::this_thread::get_id();
+        pool.ParallelFor(0, 64, 1, [&](std::size_t) {
+          if (std::this_thread::get_id() == caller) {
+            pool.ParallelFor(0, 8, 1, [](std::size_t) {});
+          }
+          // Hold each worker in its first chunk so the calling thread
+          // claims one of the others.
+          for (;;) std::this_thread::yield();
+        });
+      },
+      "own workers");
+  // One worker: the loop runs inline on the calling thread.
+  EXPECT_DEATH(
+      {
         ThreadPool pool(1);
-        pool.Submit([&pool] { ParallelFor(&pool, 1, [](std::size_t) {}); });
-        pool.Wait();
+        pool.ParallelFor(0, 2, 1, [&pool](std::size_t) {
+          ParallelFor(&pool, 1, [](std::size_t) {});
+        });
       },
       "own workers");
 }
 
 TEST(ThreadPoolTest, WorkersMayDriveAnotherPool) {
-  // The rule is per pool: a worker of one pool fanning out on another is
-  // fine (the outer task waits on workers it does not occupy).
+  // The rule is per pool: a body of one pool fanning out on another is fine
+  // (it waits on workers it does not occupy). Bodies on the outer pool's
+  // workers and on its calling thread all call into the inner pool, so the
+  // inner pool also serializes concurrent callers.
   ThreadPool outer(2);
   ThreadPool inner(2);
   std::atomic<int> calls{0};
-  outer.Submit([&] {
+  outer.ParallelFor(0, 4, 1, [&](std::size_t) {
     inner.ParallelFor(0, 6, 1, [&](std::size_t) { calls.fetch_add(1); });
   });
-  outer.Wait();
-  EXPECT_EQ(calls.load(), 6);
+  EXPECT_EQ(calls.load(), 24);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirOwnRange) {
+  // Two outside threads share one pool; their calls run one after the
+  // other, and each covers exactly its own range every time.
+  ThreadPool pool(3);
+  constexpr int kCalls = 1000;
+  constexpr std::size_t kRange[] = {37, 64};
+  std::vector<std::atomic<int>> hits0(kRange[0]);
+  std::vector<std::atomic<int>> hits1(kRange[1]);
+  std::vector<std::atomic<int>>* hits[] = {&hits0, &hits1};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      std::vector<std::atomic<int>>& mine = *hits[c];
+      for (int call = 0; call < kCalls; ++call) {
+        pool.ParallelFor(0, kRange[c], /*grain=*/1 + c,
+                         [&mine](std::size_t i) { mine[i].fetch_add(1); });
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int c = 0; c < 2; ++c) {
+    for (std::size_t i = 0; i < kRange[c]; ++i) {
+      EXPECT_EQ((*hits[c])[i].load(), kCalls) << "caller " << c << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, WarmDispatchAllocatesNothing) {
+  ThreadPool pool(3);
+  std::vector<int> data(64);
+  const auto body = [&data](std::size_t i) { data[i] += 1; };
+  pool.ParallelFor(0, data.size(), 1, body);  // warm: threads and waiters
+  const std::uint64_t before = g_operator_new_calls.load();
+  ::operator delete(::operator new(8));  // the counter sees allocations
+  ASSERT_EQ(g_operator_new_calls.load() - before, 1u);
+  for (int call = 0; call < 100; ++call) {
+    pool.ParallelFor(0, data.size(), /*grain=*/call % 3, body);
+    ParallelFor(&pool, data.size(), body);
+  }
+  EXPECT_EQ(g_operator_new_calls.load() - before, 1u);
+  EXPECT_EQ(data[0], 201);
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+TEST(ThreadPoolTest, IdlePoolSleeps) {
+  // After a dispatch the workers spin for a bounded time, then sleep: over
+  // a 200 ms idle window the process burns well under a tenth of a core.
+  ThreadPool pool(3);
+  std::atomic<int> counter{0};
+  pool.ParallelFor(0, 32, 1, [&counter](std::size_t) { counter.fetch_add(1); });
+  const double cpu0 = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double cpu = ProcessCpuSeconds() - cpu0;
+  EXPECT_LT(cpu, 0.1 * 0.2) << "idle pool burned " << cpu << " s of CPU";
+  EXPECT_EQ(counter.load(), 32);
 }
 
 }  // namespace
