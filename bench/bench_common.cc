@@ -16,7 +16,8 @@ namespace fedrec {
 ExperimentResult RunExperiment(const ExperimentSpec& spec, ThreadPool* pool) {
   Stopwatch timer;
 
-  Result<Dataset> dataset = GenerateByName(spec.dataset, spec.seed, spec.scale);
+  Result<Dataset> dataset =
+      GenerateByName(spec.dataset, spec.seed, spec.scale, pool);
   dataset.status().CheckOK();
   const Dataset& full = dataset.value();
 

@@ -187,6 +187,30 @@ std::string PresetLabel(bool ml1m, std::size_t threads) {
          (threads > 0 ? " pool=" + std::to_string(threads) : " serial");
 }
 
+/// One whole preset generation (range(0): 0 = ML-100K, 1 = ML-1M, seed 6)
+/// on a pool of range(1) workers (0 = serial), including the final sort
+/// into a Dataset. Reported per generated user.
+void BM_GenerateSynthetic(benchmark::State& state) {
+  const bool ml1m = state.range(0) == 1;
+  const std::size_t threads = static_cast<std::size_t>(state.range(1));
+  const SyntheticConfig config = ml1m ? MovieLens1MConfig(6) : MovieLens100KConfig(6);
+  // A 1-worker pool runs its loops inline: the serial path.
+  ThreadPool pool(threads > 0 ? threads : 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GenerateSynthetic(config, &pool));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(config.num_users));
+  state.SetLabel(PresetLabel(ml1m, threads));
+}
+BENCHMARK(BM_GenerateSynthetic)
+    ->Args({0, 0})
+    ->Args({0, 3})
+    ->Args({1, 0})
+    ->Args({1, 3})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 /// Cost of one ParallelFor with an empty body on 3 workers: range(0)
 /// one-iteration chunks, after range(1) microseconds of serial work on the
 /// calling thread (0 = back to back). Only the dispatch is timed.

@@ -1,12 +1,21 @@
 #include "data/synthetic.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <memory>
+#include <memory_resource>
+#include <numeric>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/math.h"
 #include "common/matrix.h"
+#include "common/stamp_set.h"
 #include "common/string_util.h"
+#include "common/threadpool.h"
 
 namespace fedrec {
 
@@ -23,9 +32,152 @@ std::size_t DrawActivity(Rng& rng, const SyntheticConfig& config) {
   return static_cast<std::size_t>(std::llround(clamped));
 }
 
+/// Size of a user's candidate pool: pool_factor * count popular candidates,
+/// at least count + 1, at most the catalogue.
+std::size_t PoolTarget(std::size_t count, const SyntheticConfig& config) {
+  return std::min(config.num_items,
+                  std::max<std::size_t>(count + 1, count * config.pool_factor));
+}
+
+/// Rows a user contributes: the best min(count, pool) candidates, topped up
+/// to two. The candidate pool always fills to PoolTarget (the uniform
+/// fallback guarantees it), so this is known before the user is generated.
+std::size_t RowsOf(std::size_t count, const SyntheticConfig& config) {
+  return std::max<std::size_t>(std::min(count, PoolTarget(count, config)), 2);
+}
+
+/// Bytes a candidate set of `target` items may take from its arena: its
+/// nodes and its one bucket array. A libstdc++ node is two words, and
+/// reserve(2 * target) picks at most 1.375 * 2 * target buckets (the worst
+/// case up to 200,000 items, at 4). Both are doubled for headroom and other
+/// library layouts: 4 words per node, 4 * target + 16 bucket words.
+std::size_t ArenaBytes(std::size_t target) {
+  return (8 * target + 16) * sizeof(void*);
+}
+
+/// Popularity-proportional item draw: the first item whose CDF reaches a
+/// uniform u, found by scanning forward from a guide table entry. Bin b
+/// holds the first item whose CDF reaches b / kBins; u * kBins is exact, so
+/// b = floor(u * kBins) satisfies b / kBins <= u and the scan ends on the
+/// item std::lower_bound would return.
+class PopularitySampler {
+ public:
+  static constexpr std::size_t kBins = 4096;
+
+  explicit PopularitySampler(std::vector<double> cdf)
+      : cdf_(std::move(cdf)), guide_(kBins) {
+    for (std::size_t b = 0; b < kBins; ++b) {
+      const double edge = static_cast<double>(b) / static_cast<double>(kBins);
+      guide_[b] = static_cast<std::size_t>(
+          std::lower_bound(cdf_.begin(), cdf_.end(), edge) - cdf_.begin());
+    }
+  }
+
+  std::size_t Draw(Rng& rng) const {
+    const double u = rng.NextDouble();
+    std::size_t i = guide_[static_cast<std::size_t>(u * static_cast<double>(kBins))];
+    while (i < cdf_.size() && cdf_[i] < u) ++i;
+    return i == cdf_.size() ? cdf_.size() - 1 : i;
+  }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<std::size_t> guide_;
+};
+
+/// One user's stream after its activity draw, and where its rows go.
+struct UserPlan {
+  Rng rng;
+  std::size_t count = 0;
+  std::size_t offset = 0;
+};
+
+/// Scratch of one worker lane, allocated by the calling thread so that the
+/// lane itself never touches the heap.
+struct Lane {
+  StampSet drawn;
+  std::unique_ptr<std::byte[]> arena;
+  std::size_t arena_bytes = 0;
+  std::vector<std::pair<double, std::size_t>> scored;
+};
+
+/// The read-only model every user is generated from.
+struct UserModel {
+  const SyntheticConfig& config;
+  const Matrix& user_factors;
+  const Matrix& item_factors;
+  const PopularitySampler& sampler;
+  const std::vector<double>& log_popularity;
+};
+
+/// Draws user u's candidates and writes its RowsOf(count) rows to `out`.
+// fedrec:hot — runs on the pool's workers: the rows, stamps and scores live
+// in buffers the calling thread allocated, the candidate set in the lane's
+// arena, so a worker never calls malloc.
+void GenerateUser(const UserModel& model, std::uint32_t u, UserPlan& plan,
+                  Lane& lane, Interaction* out) {
+  const SyntheticConfig& config = model.config;
+  Rng& rng = plan.rng;
+  const std::size_t count = plan.count;
+
+  // Candidate pool: popularity-biased draws, deduplicated. The set's
+  // iteration order fixes the order of the Gumbel draws below.
+  const std::size_t pool_target = PoolTarget(count, config);
+  std::pmr::monotonic_buffer_resource arena(lane.arena.get(), lane.arena_bytes,
+                                            std::pmr::null_memory_resource());
+  std::pmr::unordered_set<std::size_t> pool(&arena);
+  pool.reserve(pool_target * 2);  // fedrec:alloc-ok — buckets from the arena
+  const std::uint32_t mark = lane.drawn.NewMark();
+  auto add = [&](std::size_t item) {
+    // Inserting an item already in the set leaves the table as it was.
+    if (lane.drawn.Has(item, mark)) return;
+    lane.drawn.Set(item, mark);
+    pool.insert(item);  // fedrec:alloc-ok — the node comes from the arena
+  };
+  std::size_t attempts = 0;
+  const std::size_t max_attempts = pool_target * 20 + 64;
+  while (pool.size() < pool_target && attempts < max_attempts) {
+    add(model.sampler.Draw(rng));
+    ++attempts;
+  }
+  // Fallback for tiny item spaces: fill with uniform draws.
+  while (pool.size() < std::min(config.num_items, pool_target)) {
+    add(static_cast<std::size_t>(rng.NextBounded(config.num_items)));
+  }
+
+  // Score candidates: latent preference + popularity mixture + Gumbel noise
+  // (so selection is stochastic but favours structure).
+  std::size_t scored = 0;
+  const auto u_vec = model.user_factors.Row(u);
+  for (std::size_t item : pool) {
+    const double pref = Dot(u_vec, model.item_factors.Row(item));
+    const double pop = model.log_popularity[item];
+    double g = rng.NextDouble();
+    if (g <= 0.0) g = 0x1.0p-53;
+    const double gumbel = -std::log(-std::log(g));
+    const double score = (1.0 - config.popularity_mix) * 4.0 * pref +
+                         config.popularity_mix * pop + 0.5 * gumbel;
+    lane.scored[scored++] = {score, item};
+  }
+  const auto first = lane.scored.begin();
+  const std::size_t take = std::min(count, scored);
+  std::partial_sort(first, first + static_cast<std::ptrdiff_t>(take),
+                    first + static_cast<std::ptrdiff_t>(scored),
+                    [](const auto& a, const auto& b) { return a.first > b.first; });
+  for (std::size_t idx = 0; idx < take; ++idx) {
+    out[idx] = {u, static_cast<std::uint32_t>(lane.scored[idx].second)};
+  }
+  // Guarantee at least two interactions per user.
+  std::size_t have = take;
+  while (have < 2) {
+    out[have++] = {u, static_cast<std::uint32_t>(rng.NextBounded(config.num_items))};
+  }
+  FEDREC_DCHECK(have == RowsOf(count, config));
+}
+
 }  // namespace
 
-Dataset GenerateSynthetic(const SyntheticConfig& config) {
+Dataset GenerateSynthetic(const SyntheticConfig& config, ThreadPool* pool) {
   FEDREC_CHECK_GT(config.num_users, 0u);
   FEDREC_CHECK_GT(config.num_items, 1u);
   FEDREC_CHECK_GT(config.mean_interactions_per_user, 0.0);
@@ -47,9 +199,11 @@ Dataset GenerateSynthetic(const SyntheticConfig& config) {
   for (std::size_t i = 0; i < config.num_items; ++i) popularity_rank[i] = i;
   rng.Shuffle(popularity_rank);
   std::vector<double> popularity_weight(config.num_items);
+  std::vector<double> log_popularity(config.num_items);
   for (std::size_t i = 0; i < config.num_items; ++i) {
     const double rank = static_cast<double>(popularity_rank[i]) + 1.0;
     popularity_weight[i] = 1.0 / std::pow(rank, config.popularity_exponent);
+    log_popularity[i] = std::log(popularity_weight[i] + 1e-12);
   }
   // CDF for popularity-proportional candidate sampling.
   std::vector<double> cdf(config.num_items);
@@ -59,69 +213,61 @@ Dataset GenerateSynthetic(const SyntheticConfig& config) {
     cdf[i] = acc;
   }
   for (double& c : cdf) c /= acc;
-  auto draw_popular_item = [&](Rng& r) {
-    const double u = r.NextDouble();
-    auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    if (it == cdf.end()) return config.num_items - 1;
-    return static_cast<std::size_t>(it - cdf.begin());
-  };
+  const PopularitySampler sampler(std::move(cdf));
 
-  std::vector<Interaction> interactions;
-  interactions.reserve(static_cast<std::size_t>(
-      config.mean_interactions_per_user * static_cast<double>(config.num_users)));
-
+  // Serial pass, in user order: fork each user's stream from the root stream
+  // and draw its activity, which sizes its slice of the interaction array.
+  std::vector<UserPlan> plans(config.num_users);
+  std::size_t total_rows = 0;
+  std::size_t max_target = 0;
   for (std::uint32_t u = 0; u < config.num_users; ++u) {
-    Rng user_rng = rng.Fork(u);
-    const std::size_t count = DrawActivity(user_rng, config);
-
-    // Candidate pool: popularity-biased draws, deduplicated.
-    const std::size_t pool_target =
-        std::min(config.num_items,
-                 std::max<std::size_t>(count + 1, count * config.pool_factor));
-    std::unordered_set<std::size_t> pool;
-    pool.reserve(pool_target * 2);
-    std::size_t attempts = 0;
-    const std::size_t max_attempts = pool_target * 20 + 64;
-    while (pool.size() < pool_target && attempts < max_attempts) {
-      pool.insert(draw_popular_item(user_rng));
-      ++attempts;
-    }
-    // Fallback for tiny item spaces: fill with uniform draws.
-    while (pool.size() < std::min(config.num_items, pool_target)) {
-      pool.insert(static_cast<std::size_t>(user_rng.NextBounded(config.num_items)));
-    }
-
-    // Score candidates: latent preference + popularity mixture + Gumbel noise
-    // (so selection is stochastic but favours structure).
-    std::vector<std::pair<double, std::size_t>> scored;
-    scored.reserve(pool.size());
-    const auto u_vec = user_factors.Row(u);
-    for (std::size_t item : pool) {
-      const double pref = Dot(u_vec, item_factors.Row(item));
-      const double pop = std::log(popularity_weight[item] + 1e-12);
-      double g = user_rng.NextDouble();
-      if (g <= 0.0) g = 0x1.0p-53;
-      const double gumbel = -std::log(-std::log(g));
-      const double score = (1.0 - config.popularity_mix) * 4.0 * pref +
-                           config.popularity_mix * pop + 0.5 * gumbel;
-      scored.emplace_back(score, item);
-    }
-    const std::size_t take = std::min(count, scored.size());
-    std::partial_sort(scored.begin(),
-                      scored.begin() + static_cast<std::ptrdiff_t>(take),
-                      scored.end(),
-                      [](const auto& a, const auto& b) { return a.first > b.first; });
-    for (std::size_t idx = 0; idx < take; ++idx) {
-      interactions.push_back({u, static_cast<std::uint32_t>(scored[idx].second)});
-    }
-    // Guarantee at least two interactions per user.
-    std::size_t have = take;
-    while (have < 2) {
-      const auto item = static_cast<std::uint32_t>(user_rng.NextBounded(config.num_items));
-      interactions.push_back({u, item});
-      ++have;
-    }
+    UserPlan& plan = plans[u];
+    plan.rng = rng.Fork(u);
+    plan.count = DrawActivity(plan.rng, config);
+    plan.offset = total_rows;
+    total_rows += RowsOf(plan.count, config);
+    max_target = std::max(max_target, PoolTarget(plan.count, config));
   }
+  std::vector<Interaction> interactions(total_rows);
+
+  // Heaviest users first, so the few that run to the attempt cap start early
+  // instead of finishing last on one worker.
+  std::vector<std::uint32_t> order(config.num_users);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return plans[a].count > plans[b].count;
+  });
+
+  std::unique_ptr<ThreadPool> local_pool;
+  if (pool == nullptr && DefaultThreadCount() > 2) {
+    local_pool = std::make_unique<ThreadPool>(DefaultThreadCount() - 1);
+    pool = local_pool.get();
+  }
+  // One lane per thread that can run a chunk: the workers and the caller.
+  // A pool of at most one worker runs its loop inline, so it gets one lane.
+  const std::size_t lane_count =
+      pool != nullptr && pool->thread_count() > 1 ? pool->thread_count() + 1 : 1;
+  std::vector<Lane> lanes(lane_count);
+  for (Lane& lane : lanes) {
+    lane.drawn.Grow(config.num_items);
+    lane.arena_bytes = ArenaBytes(max_target);
+    lane.arena = std::make_unique_for_overwrite<std::byte[]>(lane.arena_bytes);
+    lane.scored.resize(max_target);
+  }
+
+  const UserModel model{config, user_factors, item_factors, sampler,
+                        log_popularity};
+  std::atomic<std::size_t> next{0};
+  // fedrec:hot — each lane claims users until none is left.
+  auto run_lane = [&](std::size_t l) {
+    for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+         k < order.size(); k = next.fetch_add(1, std::memory_order_relaxed)) {
+      const std::uint32_t u = order[k];
+      GenerateUser(model, u, plans[u], lanes[l],
+                   interactions.data() + plans[u].offset);
+    }
+  };
+  ParallelFor(pool, lane_count, run_lane);
 
   Result<Dataset> ds = Dataset::FromInteractions(config.name, config.num_users,
                                                  config.num_items,
@@ -167,7 +313,7 @@ SyntheticConfig Steam200KConfig(std::uint64_t seed) {
 }
 
 Result<Dataset> GenerateByName(const std::string& preset, std::uint64_t seed,
-                               double scale) {
+                               double scale, ThreadPool* pool) {
   if (scale <= 0.0 || scale > 1.0) {
     return Status::InvalidArgument("scale must be in (0, 1], got " +
                                    FormatDouble(scale, 3));
@@ -201,7 +347,7 @@ Result<Dataset> GenerateByName(const std::string& preset, std::uint64_t seed,
     config.name += '@';
     config.name += FormatDouble(scale, 2);
   }
-  return GenerateSynthetic(config);
+  return GenerateSynthetic(config, pool);
 }
 
 }  // namespace fedrec
