@@ -160,6 +160,7 @@ void FrameServer::Run() {
       }
       deferred_scratch_.clear();
     }
+    FlushListed();
   }
   DrainOnStop();
   // Leave connections to the destructor (a stopped server may still be
@@ -196,6 +197,7 @@ void FrameServer::AcceptPending() {
     }
     if (static_cast<std::size_t>(fd) >= conns_.size()) {
       conns_.resize(static_cast<std::size_t>(fd) + 1);
+      flush_list_.resize(conns_.size());
     }
     std::unique_ptr<Connection>& slot = conns_[static_cast<std::size_t>(fd)];
     if (slot == nullptr) slot = std::make_unique<Connection>();
@@ -313,7 +315,7 @@ void FrameServer::ServeBufferedFrames(Connection& conn, bool drain_all) {
       if (conn.fd == fd) CloseConnection(conn);
       return;
     }
-    if (conn.fd != fd) return;  // a failed reply flush closed it
+    if (conn.fd != fd) return;  // a failed shedding flush closed it
   }
 }
 
@@ -327,14 +329,15 @@ bool FrameServer::HandleFrame(Connection& conn, const FrameView& frame) {
       return true;
     case FrameType::kStatsRequest:
       // Served pre-handshake too: scrapers never touch protocol state.
-      return HandleStatsRequest(conn);
+      HandleStatsRequest(conn);
+      return true;
     default:
       return handler_ != nullptr &&
              handler_->HandleFrame(PeerId{conn.fd, conn.generation}, frame);
   }
 }
 
-bool FrameServer::HandleStatsRequest(Connection& conn) {
+void FrameServer::HandleStatsRequest(Connection& conn) {
   if (handler_ != nullptr) handler_->PublishStats();
   PublishServingStats();
   stats_text_.clear();
@@ -342,7 +345,7 @@ bool FrameServer::HandleStatsRequest(Connection& conn) {
   const std::array<std::string_view, 1> pieces = {
       std::string_view(stats_text_)};
   conn.out.AppendFrame(FrameType::kStatsReply, pieces);
-  return FlushConnection(conn);
+  ListForFlush(conn);
 }
 
 void FrameServer::PublishServingStats() {
@@ -369,7 +372,7 @@ void FrameServer::Send(PeerId peer, FrameType type,
   Connection* conn = Find(peer);
   if (conn == nullptr) return;
   if (!ShedIfOverloaded(*conn)) conn->out.AppendFrame(type, pieces);
-  if (!FlushConnection(*conn)) CloseConnection(*conn);
+  if (conn->fd == peer.fd) ListForFlush(*conn);
 }
 
 // fedrec:hot — checked before every staged reply.
@@ -378,6 +381,13 @@ bool FrameServer::ShedIfOverloaded(Connection& conn) {
       conn.out.pending() < options_.send_high_water) {
     return false;
   }
+  // Replies staged earlier in this turn have not met the socket yet; they
+  // are no stalled peer's backlog. Judge the queue after a flush.
+  if (!FlushConnection(conn)) {
+    CloseConnection(conn);
+    return true;
+  }
+  if (conn.out.pending() < options_.send_high_water) return false;
   // High water: the peer is not draining. Stop growing its queue — every
   // further reply is shed — and tell it once per breach to back off. The
   // connection itself survives; a peer that resumes reading drains the
@@ -393,6 +403,27 @@ bool FrameServer::ShedIfOverloaded(Connection& conn) {
     conn.out.AppendFrame(FrameType::kRetryAfter, pieces);
   }
   return true;
+}
+
+// fedrec:hot — once per staged frame; flush_list_ is sized with conns_.
+void FrameServer::ListForFlush(Connection& conn) {
+  if (conn.flush_listed) return;
+  conn.flush_listed = true;
+  flush_list_[flush_count_++] = conn.fd;
+}
+
+// fedrec:hot — once per loop turn.
+void FrameServer::FlushListed() {
+  for (std::size_t i = 0; i < flush_count_; ++i) {
+    const int fd = flush_list_[i];
+    Connection& conn = *conns_[static_cast<std::size_t>(fd)];
+    conn.flush_listed = false;
+    // Closed since listed (its queue was reset), or blocked: EPOLLOUT
+    // flushes it once the socket drains.
+    if (conn.fd != fd || conn.out.empty() || conn.out_armed) continue;
+    if (!FlushConnection(conn)) CloseConnection(conn);
+  }
+  flush_count_ = 0;
 }
 
 bool FrameServer::FlushConnection(Connection& conn) {
@@ -415,6 +446,13 @@ bool FrameServer::FlushConnection(Connection& conn) {
 }
 
 void FrameServer::CloseConnection(Connection& conn) {
+  if (!conn.out.empty()) {
+    // Replies are flushed at the end of the turn, so a close mid-turn (a
+    // refused handshake's kError, the answers to a half-closed peer's last
+    // frames) would drop them: give them one nonblocking try first.
+    bool blocked = false;
+    (void)conn.out.Flush(conn.fd, blocked);
+  }
   loop_.Remove(conn.fd);
   wheel_.Disarm(static_cast<std::uint64_t>(conn.fd));
   CloseSocket(conn.fd);
@@ -456,7 +494,7 @@ void FrameServer::HandleDeadline(int fd, std::uint64_t now_ms) {
       conn->live.probe_sent_ms = now_ms;
       ++stats_->heartbeats_sent;
       Send(PeerId{fd, conn->generation}, FrameType::kHeartbeat, {});
-      if (conn->fd != fd) return;  // the probe's flush failed
+      if (conn->fd != fd) return;  // a shedding flush failed and closed it
       break;
     case LivenessVerdict::kNone:
       break;  // state changed between arming and expiry

@@ -35,15 +35,25 @@
 ///        loop frames: kHeartbeat (proof of life) · kShutdown (stop)
 ///                     kStatsRequest (scrape reply, never shed)
 ///        every other frame ──▶ Handler::HandleFrame(peer, frame)
-///                             │ replies via Send(peer, ...)
+///                             │ replies via Send(peer, ...): staged only,
+///                             │ the connection joins the flush list once
 ///                             ▼
-///        SendQueue flush (EPOLLOUT armed while blocked); optional
-///        high-water shedding with one kRetryAfter per breach
+///        end of turn (after events, deadlines and the deferred pass):
+///        one SendQueue flush per listed connection (EPOLLOUT armed while
+///        blocked); optional high-water shedding with one kRetryAfter per
+///        breach
+///
+/// A turn's replies to one connection thus leave in one send(), however
+/// many frames the handler staged, and the loop never waits in epoll while a
+/// writable connection holds staged bytes. A connection closed mid-turn (a
+/// handler's refusal, a peer's half-close) gets one best-effort flush first,
+/// so a reply staged just before the close still reaches the peer.
 ///
 /// Beside the loop runs the liveness wheel (net/liveness.h: probe, reap,
 /// slow-read close) and, on stop, a bounded drain that flushes every queued
 /// reply. Steady state allocates nothing: connection slots, reassembly and
-/// send buffers, the wheel and the deferred queue are all high-water sized.
+/// send buffers, the wheel, the deferred queue and the flush list are all
+/// high-water sized.
 
 namespace fedrec {
 
@@ -143,11 +153,13 @@ class FrameServer {
   /// Thread-safe, async-signal-safe stop signal (self-pipe wakeup).
   void RequestStop();
 
-  /// Stages one frame for `peer` and flushes what the socket takes; a flush
-  /// failure closes the connection. A `peer` that is gone (closed, or its fd
-  /// now serves a newer generation) is skipped. While shedding is on and
-  /// the peer's queue is at high water the frame is dropped instead (one
-  /// kRetryAfter per breach). Serving thread only.
+  /// Stages one frame for `peer`; one flush at the end of the loop turn
+  /// sends every frame staged to the connection in that turn. A `peer`
+  /// that is gone (closed, or its fd now serves a newer generation) is
+  /// skipped. While shedding is on and the peer's queue is at high water,
+  /// the queue is flushed first, and the frame is dropped (one kRetryAfter
+  /// per breach) only if it stays there; a failure of that flush closes the
+  /// connection. Serving thread only.
   void Send(PeerId peer, FrameType type,
             std::span<const std::string_view> pieces);
 
@@ -165,6 +177,9 @@ class FrameServer {
     bool out_armed = false;      ///< EPOLLOUT currently in the epoll mask
     bool shed_notified = false;  ///< kRetryAfter sent for current breach
     bool queued = false;         ///< in deferred_ for the next drain pass
+    /// The slot's fd is in flush_list_. Kept across close and accept, so a
+    /// slot is listed at most once per turn; the flush pass clears it.
+    bool flush_listed = false;
     PeerLiveness live;           ///< activity timestamps for the wheel
   };
 
@@ -178,14 +193,21 @@ class FrameServer {
   /// Returns false when the connection must be closed.
   bool HandleFrame(Connection& conn, const FrameView& frame);
   /// Scrape reply: owner and loop counters mirrored, registry rendered.
-  /// Never shed. Returns false when the flush failed.
-  bool HandleStatsRequest(Connection& conn);
+  /// Never shed.
+  void HandleStatsRequest(Connection& conn);
   void PublishServingStats();
-  /// True when `conn`'s queue is at high water: the caller must not stage
-  /// its frame. Sends one kRetryAfter per breach.
+  /// True when the caller must not stage its frame: `conn`'s queue is
+  /// still at high water after a flush (one kRetryAfter per breach), or
+  /// that flush failed and closed the connection.
   bool ShedIfOverloaded(Connection& conn);
+  /// Puts `conn` on the end-of-turn flush list (once per turn).
+  void ListForFlush(Connection& conn);
+  /// The end-of-turn pass: flushes every listed connection once; a blocked
+  /// one (EPOLLOUT armed) waits for its writable event instead.
+  void FlushListed();
   /// Flushes the send queue and (de)arms EPOLLOUT to match.
   bool FlushConnection(Connection& conn);
+  /// Gives staged bytes one best-effort flush, then closes the socket.
   void CloseConnection(Connection& conn);
   /// Re-arms (or disarms) `conn`'s slot on the deadline wheel.
   void ArmLiveness(Connection& conn);
@@ -220,6 +242,11 @@ class FrameServer {
   std::vector<std::uint64_t> due_;        ///< ExpireDue scratch (reused)
   std::vector<PeerId> deferred_;          ///< drains cut short last turn
   std::vector<PeerId> deferred_scratch_;  ///< swap buffer for the above
+  /// fds with frames staged this turn, flush_count_ of them; sized with
+  /// conns_, and each slot is listed at most once, so it never grows while
+  /// serving.
+  std::vector<int> flush_list_;
+  std::size_t flush_count_ = 0;
   std::string stats_text_;                ///< kStatsReply render scratch
 
   /// Scrape-facing mirrors of ServingStats/ShedStats plus the probe

@@ -29,6 +29,7 @@ Status ErrnoError(const char* what) {
 struct NetMetrics {
   obs::Counter* frames_staged;
   obs::Counter* bytes_staged;
+  obs::Counter* send_calls;  ///< every ::send SendQueue::Flush makes
   obs::Gauge* send_queue_depth;
 };
 
@@ -38,6 +39,7 @@ NetMetrics& GetNetMetrics() {
     return NetMetrics{
         registry.GetCounter("fedrec_net_frames_staged_total"),
         registry.GetCounter("fedrec_net_bytes_staged_total"),
+        registry.GetCounter("fedrec_net_send_calls_total"),
         registry.GetGauge("fedrec_net_send_queue_depth_bytes"),
     };
   }();
@@ -279,15 +281,17 @@ void SendQueue::AppendFrame(FrameType type,
 // fedrec:hot
 Status SendQueue::Flush(int fd, bool& blocked) {
   blocked = false;
+  NetMetrics& metrics = GetNetMetrics();
   while (begin_ < end_) {
     // MSG_NOSIGNAL: a disconnecting peer is an IOError, never a SIGPIPE.
     const ssize_t n = ::send(fd, buffer_.data() + begin_, end_ - begin_,
                              MSG_NOSIGNAL);
+    metrics.send_calls->Increment();
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         blocked = true;
-        GetNetMetrics().send_queue_depth->Set(
+        metrics.send_queue_depth->Set(
             static_cast<std::int64_t>(end_ - begin_));
         return Status::OK();
       }
@@ -296,7 +300,7 @@ Status SendQueue::Flush(int fd, bool& blocked) {
     begin_ += static_cast<std::size_t>(n);
   }
   begin_ = end_ = 0;
-  GetNetMetrics().send_queue_depth->Set(0);
+  metrics.send_queue_depth->Set(0);
   return Status::OK();
 }
 

@@ -26,7 +26,9 @@
 /// the same ServerRound the sharded round engine runs (route -> shard
 /// aggregation through the pluggable ShardTransport — the in-process server
 /// or fedrec_shardd processes over TCP -> merge -> apply to the model), then
-/// sends one kRoundAck (carrying the round id) per contributed upload.
+/// stages one kRoundAck (carrying the round id) per contributed upload. The
+/// loop flushes each connection once per loop turn, so all of a round's acks
+/// to one client leave in a single send() however many uploads it made.
 /// Steady state — same round size, same-shaped uploads — touches the heap
 /// zero times on the upload fan-in and round paths.
 ///
@@ -107,7 +109,8 @@ class FederationService : private FrameServer::Handler {
   void PublishStats() override;
   bool HandleUpload(PeerId peer, std::string_view payload);
   /// Closes the pending round: one ServerRound over the transport, then an
-  /// ack for every contributed upload whose sender is still connected.
+  /// ack staged for every contributed upload whose sender is still
+  /// connected (the loop flushes them at the end of its turn).
   void RunRound();
   void SendError(PeerId peer, const Status& status);
 

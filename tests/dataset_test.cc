@@ -1,8 +1,12 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace fedrec {
 namespace {
@@ -33,6 +37,47 @@ TEST(DatasetTest, DuplicatesDropped) {
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value().num_interactions(), 2u);
   EXPECT_EQ(ds.value().UserItems(0), (std::vector<std::uint32_t>{1}));
+}
+
+TEST(DatasetTest, MatchesGlobalSortReferenceOnShuffledInput) {
+  // Shuffled tuples with duplicates, and users (every odd id) with no
+  // interaction at all: each V+_i must equal what one global (user, item)
+  // sort plus unique yields.
+  Rng rng(2024);
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t num_users = 1 + rng.NextBounded(40);
+    const std::size_t num_items = 1 + rng.NextBounded(60);
+    const std::size_t even_users = (num_users + 1) / 2;
+    std::vector<Interaction> tuples;
+    const std::size_t draws = rng.NextBounded(500);
+    for (std::size_t d = 0; d < draws; ++d) {
+      const Interaction t{
+          static_cast<std::uint32_t>(2 * rng.NextBounded(even_users)),
+          static_cast<std::uint32_t>(rng.NextBounded(num_items))};
+      tuples.push_back(t);
+      if (rng.NextBounded(4) == 0) tuples.push_back(t);
+    }
+    for (std::size_t i = tuples.size(); i > 1; --i) {
+      std::swap(tuples[i - 1], tuples[rng.NextBounded(i)]);
+    }
+
+    std::vector<Interaction> reference = tuples;
+    std::sort(reference.begin(), reference.end());
+    reference.erase(std::unique(reference.begin(), reference.end()),
+                    reference.end());
+    std::vector<std::vector<std::uint32_t>> expected(num_users);
+    for (const Interaction& t : reference) expected[t.user].push_back(t.item);
+
+    auto ds = Dataset::FromInteractions("shuffled", num_users, num_items,
+                                        std::move(tuples));
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    ASSERT_EQ(ds.value().num_interactions(), reference.size());
+    for (std::size_t u = 0; u < num_users; ++u) {
+      ASSERT_EQ(ds.value().UserItems(u), expected[u])
+          << "trial " << trial << " user " << u;
+    }
+    EXPECT_EQ(ds.value().AllInteractions(), reference);
+  }
 }
 
 TEST(DatasetTest, RejectsOutOfRangeReferences) {

@@ -612,8 +612,6 @@ TEST(FederationServiceTest, StalledPeerShedsWithRetryAfterNotUnboundedGrowth) {
       << "allocation count scaled with shed traffic: queue is growing";
 }
 
-// --- Stop drains: what each owner serves once a stop lands -----------------
-
 /// One FRNT frame as raw wire bytes.
 std::string Frame(FrameType type, std::string_view payload) {
   char header[kFrameHeaderBytes];
@@ -622,6 +620,36 @@ std::string Frame(FrameType type, std::string_view payload) {
   frame += payload;
   return frame;
 }
+
+TEST(FederationServiceTest, ReadingPeerOverHighWaterWithinOneTurnIsNotShed) {
+  // Replies are flushed once per loop turn, so one turn of acks to a peer
+  // that reads everything can pass the high water before the socket has
+  // seen any of them. Those bytes are no stalled backlog: nothing is shed.
+  Rng init(12);
+  MfModel model(kNumItems, ModelParams(), init);
+  constexpr std::size_t kUploads = 200;
+  FederationService::Options options =
+      ServiceHarness::MakeOptions(/*round_size=*/1, /*max_rounds=*/kUploads);
+  options.send_high_water = 256;  // ~10 acks; one turn serves 64 rounds
+  ServiceHarness harness(&model, /*num_shards=*/1, options);
+  TestClient client(harness.port());
+  const std::array<std::size_t, 1> rows = {5};
+  std::string wire;
+  for (std::uint32_t user = 0; user < kUploads; ++user) {
+    wire += Frame(FrameType::kClientUpload,
+                  EncodeClientUpload(MakeGradients(user, 0, rows), user));
+  }
+  client.SendRaw(wire);
+  for (std::uint64_t round = 0; round < kUploads; ++round) {
+    ASSERT_EQ(client.ExpectRoundAck(), round);
+  }
+  harness.Join();
+  EXPECT_EQ(harness.stats().rounds_completed, kUploads);
+  EXPECT_EQ(harness.stats().shed_frames, 0u);
+  EXPECT_EQ(harness.stats().retry_afters_sent, 0u);
+}
+
+// --- Stop drains: what each owner serves once a stop lands -----------------
 
 TEST(FederationServiceTest, StopAtMaxRoundsLeavesPipelinedUploadsUnserved) {
   Rng init(17);

@@ -840,6 +840,10 @@ class LoopPeer {
     WriteAllVec(fd_, pieces).CheckOK();
   }
 
+  /// Half-closes the connection: the server reads EOF after the bytes
+  /// already sent, and may still answer them.
+  void ShutdownWrite() { FEDREC_CHECK_EQ(::shutdown(fd_, SHUT_WR), 0); }
+
   /// The next frame from the server; type kError with payload "closed" once
   /// the server has closed the connection.
   std::pair<FrameType, std::string> NextFrame() {
@@ -883,6 +887,28 @@ class FloodHandler final : public FrameServer::Handler {
   FrameServer* server = nullptr;
   std::atomic<std::size_t> flood_served{0};
   std::size_t peak_deferred = 0;  ///< serving thread; read after the join
+};
+
+/// Answers every kClientUpload with `replies_per_frame` kRoundAck frames
+/// echoing its payload.
+class EchoHandler final : public FrameServer::Handler {
+ public:
+  explicit EchoHandler(std::size_t replies_per_frame)
+      : replies_per_frame_(replies_per_frame) {}
+  bool HandleFrame(PeerId peer, const FrameView& frame) override {
+    if (frame.type != FrameType::kClientUpload) return false;
+    const std::array<std::string_view, 1> pieces = {frame.payload};
+    for (std::size_t i = 0; i < replies_per_frame_; ++i) {
+      server->Send(peer, FrameType::kRoundAck, pieces);
+    }
+    return true;
+  }
+  void PublishStats() override {}
+
+  FrameServer* server = nullptr;
+
+ private:
+  std::size_t replies_per_frame_;
 };
 
 /// A histogram's finite `_bucket` lines come and go with its observations
@@ -954,6 +980,75 @@ TEST(FrameServerTest, DeferredDrainQueuesEachConnectionOnce) {
   EXPECT_GT(stats.drain_deferrals, 0u) << "the flood never hit the cap";
   EXPECT_LE(handler.peak_deferred, 2u)
       << "a connection sat in the deferred queue more than once";
+}
+
+TEST(FrameServerTest, OneSendPerConnectionPerTurn) {
+  // Every reply a handler stages in one loop turn leaves in one send() per
+  // connection. Each peer has one request in flight at a time, so every
+  // request is served in a turn of its own on its connection: the whole
+  // exchange costs one send() per request, not one per reply.
+  constexpr std::size_t kRepliesPerFrame = 16;
+  constexpr std::size_t kPeers = 3;
+  constexpr std::size_t kRequests = 20;
+  obs::Counter* send_calls =
+      obs::Registry::Global().GetCounter("fedrec_net_send_calls_total");
+  EchoHandler handler(kRepliesPerFrame);
+  auto server = std::make_unique<FrameServer>(FrameServer::Options{},
+                                              &handler);
+  handler.server = server.get();
+  ASSERT_TRUE(server->Listen().ok());
+  server->RunOnThread();
+  std::vector<std::unique_ptr<LoopPeer>> peers;
+  for (std::size_t p = 0; p < kPeers; ++p) {
+    peers.push_back(std::make_unique<LoopPeer>(server->port()));
+  }
+
+  const std::uint64_t before = send_calls->Value();
+  for (std::size_t r = 0; r < kRequests; ++r) {
+    const std::string payload = "request " + std::to_string(r);
+    for (std::unique_ptr<LoopPeer>& peer : peers) {
+      peer->Send(EncodeFrame(FrameType::kClientUpload, payload));
+    }
+    for (std::unique_ptr<LoopPeer>& peer : peers) {
+      for (std::size_t i = 0; i < kRepliesPerFrame; ++i) {
+        auto [type, reply] = peer->NextFrame();
+        ASSERT_EQ(type, FrameType::kRoundAck);
+        ASSERT_EQ(reply, payload);
+      }
+    }
+  }
+  server.reset();  // joins the serving thread: its last send is counted
+  EXPECT_EQ(send_calls->Value() - before, kPeers * kRequests);
+}
+
+TEST(FrameServerTest, HalfClosedPeerReadsEveryReplyBeforeEof) {
+  // A peer that writes its requests and half-closes is answered in full
+  // before the server closes: the EOF turn's replies are flushed ahead of
+  // the close, and more requests than one drain serves span several turns.
+  constexpr std::size_t kRequests = 150;
+  constexpr std::size_t kRepliesPerFrame = 2;
+  EchoHandler handler(kRepliesPerFrame);
+  auto server = std::make_unique<FrameServer>(FrameServer::Options{},
+                                              &handler);
+  handler.server = server.get();
+  ASSERT_TRUE(server->Listen().ok());
+  server->RunOnThread();
+
+  LoopPeer peer(server->port());
+  std::string burst;
+  for (std::size_t r = 0; r < kRequests; ++r) {
+    burst += EncodeFrame(FrameType::kClientUpload, std::to_string(r));
+  }
+  peer.Send(burst);
+  peer.ShutdownWrite();
+  for (std::size_t r = 0; r < kRequests; ++r) {
+    for (std::size_t i = 0; i < kRepliesPerFrame; ++i) {
+      auto [type, reply] = peer.NextFrame();
+      ASSERT_EQ(type, FrameType::kRoundAck) << "request " << r;
+      ASSERT_EQ(reply, std::to_string(r));
+    }
+  }
+  EXPECT_EQ(peer.NextFrame().second, "closed");
 }
 
 TEST(FrameServerTest, StatsEndpointScrapesWhileAnotherThreadRecords) {
