@@ -6,16 +6,14 @@
 #include "attack/target_select.h"
 #include "common/csv.h"
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "data/public_view.h"
 #include "data/synthetic.h"
 
 namespace fedrec {
 
-ExperimentResult RunExperiment(const ExperimentSpec& spec, ThreadPool* pool) {
-  Stopwatch timer;
-
+ExperimentResult RunExperiment(const ExperimentSpec& spec, ThreadPool* pool,
+                               RoundObserver observer) {
   Result<Dataset> dataset =
       GenerateByName(spec.dataset, spec.seed, spec.scale, pool);
   dataset.status().CheckOK();
@@ -82,13 +80,14 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec, ThreadPool* pool) {
   Evaluator evaluator(split.train, split.test_items, metrics_config,
                       spec.seed + 5);
 
-  Simulation sim(split.train, config, num_malicious, attack.value().get(), pool);
+  Simulation sim(split.train, config, num_malicious, attack.value().get(),
+                 pool);
+  sim.SetRoundObserver(std::move(observer));
   const std::size_t cadence =
       spec.eval_every == 0 ? spec.epochs : spec.eval_every;
   std::vector<EpochRecord> history = sim.Run(&evaluator, targets, cadence);
 
   ExperimentResult result;
-  result.stats = ComputeStats(full);
   result.history = std::move(history);
   for (auto it = result.history.rbegin(); it != result.history.rend(); ++it) {
     if (it->has_metrics) {
@@ -96,12 +95,11 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec, ThreadPool* pool) {
       break;
     }
   }
-  result.seconds = timer.ElapsedSeconds();
-  result.num_malicious = num_malicious;
-  result.target_items = targets;
   for (const EpochRecord& record : result.history) {
     result.total_rounds += record.rounds;
     result.train_seconds += record.train_seconds;
+    result.dropped_uploads += record.dropped_uploads;
+    result.skipped_rounds += record.skipped_rounds;
   }
   result.rounds_per_sec =
       result.train_seconds > 0.0
@@ -159,20 +157,20 @@ void ApplyScale(const BenchOptions& options, ExperimentSpec& spec) {
 
 std::string Fmt4(double value) { return FormatDouble(value, 4); }
 
-void AddThroughputRow(TextTable& table,
-                      const std::vector<ExperimentResult>& results) {
-  std::vector<std::string> row{"rounds/s"};
-  for (const ExperimentResult& result : results) {
-    row.push_back(FormatDouble(result.rounds_per_sec, 1));
-  }
-  table.AddRow(row);
+std::string FormatPercent(double fraction) {
+  std::string text = FormatDouble(100.0 * fraction, 2);
+  while (text.back() == '0') text.pop_back();
+  if (text.back() == '.') text.pop_back();
+  text += '%';
+  return text;
 }
 
 void EmitTable(const TextTable& table, const BenchOptions& options) {
   std::fputs(table.Render().c_str(), stdout);
   std::fflush(stdout);
   if (!options.csv_path.empty()) {
-    const Status status = WriteStringToFile(options.csv_path, table.RenderCsv());
+    const Status status =
+        WriteStringToFile(options.csv_path, table.RenderCsv());
     if (!status.ok()) {
       FEDREC_LOG(Error) << "csv export failed: " << status.ToString();
     } else {

@@ -1,7 +1,6 @@
 #ifndef FEDREC_BENCH_BENCH_COMMON_H_
 #define FEDREC_BENCH_BENCH_COMMON_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,18 +9,17 @@
 #include "common/flags.h"
 #include "common/table.h"
 #include "common/threadpool.h"
-#include "data/stats.h"
 #include "fed/simulation.h"
 #include "model/metrics.h"
 
 /// \file
-/// Shared experiment runner for the paper-reproduction benchmarks. Every
-/// bench binary builds an ExperimentSpec per table cell, calls RunExperiment,
-/// and renders the resulting rows in the paper's table layout.
+/// Shared experiment runner of bench_paper. Every table cell is one
+/// ExperimentSpec run through RunExperiment; bench_paper.cc holds the
+/// per-table specs and renders the results in the paper's table layout.
 ///
-/// Scale presets: all binaries accept --quick / --full / --scale=<f>,
+/// Scale presets: every table accepts --quick / --full / --scale=<f>,
 /// --epochs=<n>, --seed=<n>, --threads=<n> and --csv=<path>. The default
-/// preset is sized so the full bench suite finishes in minutes on a laptop;
+/// preset is sized so the whole paper finishes in minutes on a laptop;
 /// --full reproduces the paper-scale parameters (full datasets, 200 epochs).
 
 namespace fedrec {
@@ -57,32 +55,34 @@ struct ExperimentSpec {
   /// Evaluate every N epochs (0 = final epoch only). Fig. 3 uses a cadence.
   std::size_t eval_every = 0;
 
-  // Fault injection (bench_fault_rounds): deterministic dropout/straggler/
+  // Fault injection (the faults table): deterministic dropout/straggler/
   // corruption schedule plus the degraded-aggregation quorum. Inert by
-  // default, so the paper-table benches are untouched.
-  FaultSpec faults;
+  // default, so the paper tables are untouched.
+  FaultSpec faults{};
   std::size_t min_round_quorum = 1;
 };
 
 /// Outcome of one experiment.
 struct ExperimentResult {
-  DatasetStats stats;
   MetricsResult final_metrics;       ///< ER@5, ER@10, NDCG@10, HR@10
   std::vector<EpochRecord> history;  ///< per-epoch loss (+ metrics on cadence)
-  double seconds = 0.0;
-  std::size_t num_malicious = 0;
-  std::vector<std::uint32_t> target_items;
 
-  // Round-throughput instrumentation aggregated over `history`.
+  // Round-throughput instrumentation and fault ledger aggregated over
+  // `history`.
   std::size_t total_rounds = 0;
   double train_seconds = 0.0;        ///< summed epoch training wall time
   double rounds_per_sec = 0.0;       ///< total_rounds / train_seconds
+  std::uint64_t dropped_uploads = 0;
+  std::uint64_t skipped_rounds = 0;
 };
 
 /// Runs one full federated-training experiment under the configured attack.
-ExperimentResult RunExperiment(const ExperimentSpec& spec, ThreadPool* pool);
+/// A non-empty `observer` sees every round's uploads (the defense table's
+/// anomaly detector).
+ExperimentResult RunExperiment(const ExperimentSpec& spec, ThreadPool* pool,
+                               RoundObserver observer = {});
 
-/// Scale presets shared by all bench binaries.
+/// Scale presets shared by every table.
 struct BenchOptions {
   double scale_ml100k = 0.45;
   double scale_ml1m = 0.12;
@@ -103,11 +103,9 @@ void ApplyScale(const BenchOptions& options, ExperimentSpec& spec);
 /// Formats a metric like the paper tables ("0.9400").
 std::string Fmt4(double value);
 
-/// Appends a "rounds/s" row (one cell per experiment, in order) so every
-/// table bench surfaces its round throughput in the printed table and the
-/// CSV export.
-void AddThroughputRow(TextTable& table,
-                      const std::vector<ExperimentResult>& results);
+/// Formats a fraction as a column label's percentage with no padding or
+/// trailing zeros: 0.005 -> "0.5%", 0.03 -> "3%", 0.10 -> "10%".
+std::string FormatPercent(double fraction);
 
 /// Prints the table to stdout and optionally writes its CSV export.
 void EmitTable(const TextTable& table, const BenchOptions& options);

@@ -18,14 +18,15 @@
 /// granting them exactly that knowledge and letting their fake users join the
 /// federation as regular clients. We reproduce that port:
 ///
-/// * both train a full-knowledge MF surrogate on the complete dataset D;
+/// * both train a full-knowledge surrogate on the complete dataset D: P1 an
+///   MF model, P2 an NCF model (the deep model class [16] attacks; an MF
+///   model when SurrogateConfig::deep is off);
 /// * P1 selects filler items that maximize co-preference mass with the
 ///   targets — popularity-weighted latent similarity to the target centroid
 ///   (the influence heuristic of the original optimization);
 /// * P2 draws a fresh virtual user per fake profile and fills with the
 ///   surrogate's highest-scoring items for it (the paper-described
-///   "highest predicted score" filler rule of the deep-learning attack,
-///   instantiated on the MF surrogate — substitution documented in DESIGN.md);
+///   "highest predicted score" filler rule of the deep-learning attack);
 /// * the generated fake profiles then behave as benign federated clients.
 
 namespace fedrec {
@@ -48,7 +49,8 @@ class DataPoisonP1 : public FakeProfileAttack {
                const Dataset& full_knowledge, const SurrogateConfig& surrogate,
                std::uint64_t seed);
 
-  std::vector<std::uint32_t> BuildFillerItems(std::size_t slot, Rng& rng) override;
+  std::vector<std::uint32_t> BuildFillerItems(std::size_t slot,
+                                              Rng& rng) override;
 
  private:
   /// Sampling weight per item derived from the surrogate (targets weight 0).
@@ -65,7 +67,8 @@ class DataPoisonP2 : public FakeProfileAttack {
                const Dataset& full_knowledge, const SurrogateConfig& surrogate,
                std::uint64_t seed);
 
-  std::vector<std::uint32_t> BuildFillerItems(std::size_t slot, Rng& rng) override;
+  std::vector<std::uint32_t> BuildFillerItems(std::size_t slot,
+                                              Rng& rng) override;
 
   /// True when the deep (NCF) surrogate is active (for tests/reports).
   bool uses_deep_surrogate() const { return deep_surrogate_ != nullptr; }

@@ -13,11 +13,10 @@
 /// the user-matrix approximation, which is why the paper finds them both less
 /// stealthy (visible HR@10 damage) and in need of many more malicious users.
 ///
-/// Faithfulness notes (full discussion in DESIGN.md §4): the originals assume
-/// side information (item popularity for PipAttack, classification-task
-/// structure for P3/P4). We port each to FR on the attacker-visible state
-/// exactly as the paper's comparison does (Section V-C adopts the settings of
-/// [31] for them):
+/// Faithfulness notes: the originals assume side information (item popularity
+/// for PipAttack, classification-task structure for P3/P4). We port each to FR
+/// on the attacker-visible state exactly as the paper's comparison does
+/// (Section V-C adopts the settings of [31] for them):
 ///  * EB explicitly boosts the malicious user's own predicted score of every
 ///    target (the "explicit boosting" ablation of [31]);
 ///  * PipAttack adds the popularity-alignment term, pulling target embeddings
@@ -64,8 +63,8 @@ class ModelPoisonAttackBase : public MaliciousCoordinator {
   /// Emits the poisoned rows for one malicious user into `update` (rows will
   /// be clipped to C afterwards by the caller). `state` may be mutated (e.g.
   /// local u_m updates).
-  virtual void EmitPoisonRows(const RoundContext& context, MaliciousState& state,
-                              ClientUpdate& update) = 0;
+  virtual void EmitPoisonRows(const RoundContext& context,
+                              MaliciousState& state, ClientUpdate& update) = 0;
 
   const ModelPoisonConfig& config() const { return config_; }
   std::size_t num_items() const { return num_items_; }

@@ -10,14 +10,14 @@
 /// \file
 /// Synthetic implicit-feedback dataset generation.
 ///
-/// Substitution (documented in DESIGN.md §4): the paper evaluates on
-/// MovieLens-100K, MovieLens-1M and Steam-200K, which are not available in this
-/// offline environment. The generator below produces datasets with the same
-/// shape: exact user/item counts from Table II, matched expected interaction
-/// volume, log-normal per-user activity, Zipf long-tail item popularity, and —
-/// crucially — learnable collaborative structure from a latent-factor
-/// preference model, so that matrix factorization actually converges and
-/// attacks face a realistic trained model.
+/// Substitution: the paper evaluates on MovieLens-100K, MovieLens-1M and
+/// Steam-200K, which the build does not download. The generator below
+/// produces datasets with the same shape: exact user/item counts from Table
+/// II, matched expected interaction volume, log-normal per-user activity,
+/// Zipf long-tail item popularity, and — crucially — learnable collaborative
+/// structure from a latent-factor preference model, so that matrix
+/// factorization actually converges and attacks face a realistic trained
+/// model.
 ///
 /// The dataset is a function of the config alone, bit for bit, whatever the
 /// pool. The root stream first draws the latent factors and the popularity
@@ -48,7 +48,8 @@ struct SyntheticConfig {
   double mean_interactions_per_user = 40.0;
   /// Log-normal sigma of per-user activity (heavier tail -> larger sigma).
   double activity_sigma = 0.6;
-  /// Zipf exponent of item popularity (~1 reproduces recommendation long tails).
+  /// Zipf exponent of item popularity (~1 reproduces recommendation long
+  /// tails).
   double popularity_exponent = 1.0;
   /// Dimension of the latent preference model generating the structure.
   std::size_t latent_dim = 16;

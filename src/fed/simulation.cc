@@ -1,6 +1,7 @@
 #include "fed/simulation.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/stopwatch.h"
 
@@ -26,55 +27,43 @@ Simulation::Simulation(const Dataset& train, const FedConfig& config,
   engine_.SetFaultPlan(&fault_plan_);
 }
 
+template <typename RoundFn>
+std::size_t Simulation::RunRoundLoop(std::size_t max_rounds, bool one_epoch,
+                                     const RoundFn& run_round) {
+  std::size_t run = 0;
+  while (run < max_rounds && (one_epoch || epoch_ < config_.epochs)) {
+    if (!epoch_open_) {
+      engine_.BeginEpoch(epoch_);
+      epoch_loss_ = 0.0;
+      epoch_open_ = true;
+    }
+    if (engine_.HasNextRound()) {
+      epoch_loss_ += run_round();
+      ++run;
+    }
+    if (!engine_.HasNextRound()) {
+      epoch_open_ = false;
+      ++epoch_;
+      if (one_epoch) break;
+    }
+  }
+  return run;
+}
+
 double Simulation::RunEpoch() {
-  if (!epoch_open_) {
-    engine_.BeginEpoch(epoch_);
-    epoch_loss_ = 0.0;
-    epoch_open_ = true;
-  }
-  while (engine_.HasNextRound()) {
-    epoch_loss_ += engine_.RunRound(observer_);
-  }
-  epoch_open_ = false;
-  ++epoch_;
+  RunRoundLoop(std::numeric_limits<std::size_t>::max(), /*one_epoch=*/true,
+               [this] { return engine_.RunRound(observer_); });
   return epoch_loss_;
 }
 
 std::size_t Simulation::RunRounds(std::size_t max_rounds) {
-  std::size_t run = 0;
-  while (run < max_rounds && epoch_ < config_.epochs) {
-    if (!epoch_open_) {
-      engine_.BeginEpoch(epoch_);
-      epoch_loss_ = 0.0;
-      epoch_open_ = true;
-    }
-    epoch_loss_ += engine_.RunRound(observer_);
-    ++run;
-    if (!engine_.HasNextRound()) {
-      epoch_open_ = false;
-      ++epoch_;
-    }
-  }
-  return run;
+  return RunRoundLoop(max_rounds, /*one_epoch=*/false,
+                      [this] { return engine_.RunRound(observer_); });
 }
 
 std::size_t Simulation::RunRounds(
     std::size_t max_rounds, const std::function<double()>& round_runner) {
-  std::size_t run = 0;
-  while (run < max_rounds && epoch_ < config_.epochs) {
-    if (!epoch_open_) {
-      engine_.BeginEpoch(epoch_);
-      epoch_loss_ = 0.0;
-      epoch_open_ = true;
-    }
-    epoch_loss_ += round_runner();
-    ++run;
-    if (!engine_.HasNextRound()) {
-      epoch_open_ = false;
-      ++epoch_;
-    }
-  }
-  return run;
+  return RunRoundLoop(max_rounds, /*one_epoch=*/false, round_runner);
 }
 
 std::vector<EpochRecord> Simulation::Run(
@@ -93,12 +82,14 @@ std::vector<EpochRecord> Simulation::Run(
     record.train_seconds = epoch_timer.ElapsedSeconds();
     record.rounds = engine_.global_round() - rounds_before;
     const FaultStats& faults = engine_.fault_stats();
-    record.dropped_uploads = faults.dropped_uploads - faults_before.dropped_uploads;
+    record.dropped_uploads =
+        faults.dropped_uploads - faults_before.dropped_uploads;
     record.straggler_uploads =
         faults.straggler_uploads - faults_before.straggler_uploads;
     record.corrupt_messages =
         faults.corrupt_messages - faults_before.corrupt_messages;
-    record.skipped_rounds = faults.skipped_rounds - faults_before.skipped_rounds;
+    record.skipped_rounds =
+        faults.skipped_rounds - faults_before.skipped_rounds;
     record.rounds_per_sec =
         record.train_seconds > 0.0
             ? static_cast<double>(record.rounds) / record.train_seconds

@@ -69,7 +69,9 @@ class Simulation {
   const RoundEngine& engine() const { return engine_; }
 
   /// Installs an observer receiving every round's uploads.
-  void SetRoundObserver(RoundObserver observer) { observer_ = std::move(observer); }
+  void SetRoundObserver(RoundObserver observer) {
+    observer_ = std::move(observer);
+  }
 
   /// Runs one epoch; returns the summed benign BPR loss of the epoch. When
   /// the simulation was restored from a mid-epoch checkpoint, the first call
@@ -132,6 +134,15 @@ class Simulation {
   }
 
  private:
+  /// The one round loop behind RunEpoch and both RunRounds overloads: opens
+  /// an epoch when none is open, runs its rounds through `run_round` and
+  /// closes it after the last one. Stops after `max_rounds` rounds, once
+  /// config.epochs epochs have closed, or (with `one_epoch`) once an epoch
+  /// closes; RunEpoch ignores config.epochs, so callers may drive more.
+  template <typename RoundFn>
+  std::size_t RunRoundLoop(std::size_t max_rounds, bool one_epoch,
+                           const RoundFn& run_round);
+
   FedConfig config_;
   ThreadPool* pool_;
   MfModel model_;

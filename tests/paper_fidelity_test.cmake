@@ -1,24 +1,24 @@
-# Paper-fidelity guard: runs the quick Table III preset (impact of xi) and
-# compares its ER@5, ER@10 and NDCG@10 rows, as printed to 4 decimals,
-# against the committed golden CSV. Any change to the attack, the model, the
-# top-K or the evaluator that moves a metric fails here. Run by the
-# `paper_fidelity_table3_*` suites registered in tests/CMakeLists.txt:
-#   cmake -DBENCH=<bench_table3_xi> -DTHREADS=<n> -DGOLDEN=<csv> -DOUT=<csv>
-#         -P this_file
+# Paper-fidelity guard: runs bench_paper's quick Table III preset (impact of
+# xi) and compares its ER@5, ER@10 and NDCG@10 rows, as printed to 4
+# decimals, against the committed golden CSV. Any change to the attack, the
+# model, the top-K or the evaluator that moves a metric fails here. Run by
+# the `paper_fidelity_table3_*` suites registered in tests/CMakeLists.txt:
+#   cmake -DBENCH=<bench_paper> -DTABLE=table3 -DTHREADS=<n> -DGOLDEN=<csv>
+#         -DOUT=<csv> -P this_file
 
-foreach(var BENCH THREADS GOLDEN OUT)
+foreach(var BENCH TABLE THREADS GOLDEN OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "paper_fidelity_test.cmake needs -D${var}")
   endif()
 endforeach()
 
 execute_process(
-  COMMAND ${BENCH} --quick --threads=${THREADS} --csv=${OUT}
+  COMMAND ${BENCH} ${TABLE} --quick --threads=${THREADS} --csv=${OUT}
   RESULT_VARIABLE exit_code
   OUTPUT_VARIABLE bench_output
   ERROR_VARIABLE bench_output)
 if(NOT exit_code EQUAL 0)
-  message(FATAL_ERROR "${BENCH} exited with ${exit_code}:\n${bench_output}")
+  message(FATAL_ERROR "${BENCH} ${TABLE} exited with ${exit_code}:\n${bench_output}")
 endif()
 
 set(metric_rows "^(ER@5|ER@10|NDCG@10),")
