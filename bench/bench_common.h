@@ -94,6 +94,10 @@ struct BenchOptions {
   bool full = false;
 };
 
+/// The flags ParseBenchOptions reads.
+inline const std::vector<std::string> kBenchOptionFlags{
+    "quick", "full", "scale", "epochs", "seed", "threads", "csv"};
+
 /// Parses --quick/--full/--scale/--epochs/--seed/--threads/--csv.
 BenchOptions ParseBenchOptions(const FlagParser& flags);
 

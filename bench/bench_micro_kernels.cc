@@ -173,6 +173,47 @@ BENCHMARK(BM_TopK)
     ->Args({3706, 10, 2})
     ->Args({3706, 10, 100});
 
+/// Top-K as the attack's Eq. 15 runs it: the 8 users of one
+/// ScoreBlockPacked tile (Gaussian factors, dim 32), each with its own score
+/// row and 2 excluded public items, K = 10. Unlike BM_TopK's one repeated
+/// row, the rows differ, so each call starts cold. Reported per scanned
+/// item.
+void BM_TopKScoredTile(benchmark::State& state) {
+  const std::size_t items = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kUsers = 8;
+  constexpr std::size_t kDim = 32;
+  constexpr std::size_t kK = 10;
+  Rng rng(3);
+  Matrix V(items, kDim);
+  V.FillGaussian(rng, 0.0f, 0.1f);
+  Matrix U(kUsers, kDim);
+  U.FillGaussian(rng, 0.0f, 0.1f);
+  std::vector<float> packed(kernels::PackedItemsSize(items, kDim));
+  kernels::PackItems(V.Data().data(), items, kDim, packed.data());
+  std::vector<float> scores(kUsers * items);
+  kernels::ScoreBlockPacked(U.Data().data(), kUsers, packed.data(), items,
+                            kDim, scores.data(), items);
+  std::vector<std::vector<std::uint32_t>> excluded(kUsers);
+  for (auto& user_excluded : excluded) {
+    for (std::size_t idx : rng.SampleWithoutReplacement(items, 2)) {
+      user_excluded.push_back(static_cast<std::uint32_t>(idx));
+    }
+    std::sort(user_excluded.begin(), user_excluded.end());
+  }
+  std::vector<std::uint32_t> top;
+  for (auto _ : state) {
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      const std::span<const float> row(scores.data() + u * items, items);
+      TopKIndicesExcludingSortedInto(row, kK, excluded[u], top);
+      benchmark::DoNotOptimize(top.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kUsers * items));
+}
+BENCHMARK(BM_TopKScoredTile)->Arg(1682)->Arg(3706);
+
 /// The ML-100K (preset 0, 943 x 1682) and ML-1M (preset 1, 6040 x 3706)
 /// synthetic presets; generating ML-1M takes seconds, so each is built once
 /// per process.
@@ -303,31 +344,43 @@ BENCHMARK(BM_ClientTrainRound)
     ->Args({1, 1})
     ->Unit(benchmark::kMicrosecond);
 
+/// Eq. 20 as the attack runs it each round: the poisoned gradient over 256
+/// sampled users (the benchmark workloads' users_per_step) at xi = 1%, dim
+/// 32, into a reused matrix. range(0) picks the preset (0 = ML-100K, 1 =
+/// ML-1M), range(1) the pool's worker count (0 = serial). Reported per
+/// sampled user.
 void BM_PoisonGradient(benchmark::State& state) {
-  const std::size_t users = static_cast<std::size_t>(state.range(0));
-  SyntheticConfig data_config;
-  data_config.num_users = users;
-  data_config.num_items = 1682;
-  data_config.mean_interactions_per_user = 30.0;
-  data_config.seed = 6;
-  const Dataset data = GenerateSynthetic(data_config);
+  const bool ml1m = state.range(0) == 1;
+  const std::size_t threads = static_cast<std::size_t>(state.range(1));
+  const Dataset& data = Preset(ml1m);
   Rng rng(7);
   const auto view = PublicInteractions::Sample(data, 0.01, rng,
                                                PublicSamplingMode::kCeil);
   FedRecAttackConfig config;
   config.target_items = {11};
-  config.approx_epochs_first = 1;
-  FedRecAttack attack(config, &view, users, 32);
-  Matrix V(1682, 32);
+  config.users_per_step = 256;
+  FedRecAttack attack(config, &view, data.num_users(), 32);
+  Matrix V(data.num_items(), 32);
   V.FillGaussian(rng, 0.0f, 0.1f);
-  attack.ApproximateUsers(V, 2);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  attack.ApproximateUsers(V, 2, pool.get());
+  Matrix gradient;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(attack.ComputePoisonGradient(V, nullptr));
+    attack.ComputePoisonGradientInto(V, pool.get(), gradient);
+    benchmark::DoNotOptimize(gradient.Data().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(users));
+                          static_cast<std::int64_t>(config.users_per_step));
+  state.SetLabel(PresetLabel(ml1m, threads));
 }
-BENCHMARK(BM_PoisonGradient)->Arg(256)->Arg(943)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PoisonGradient)
+    ->Args({0, 0})
+    ->Args({0, 3})
+    ->Args({1, 0})
+    ->Args({1, 3})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// Eq. 19 as the attack runs it each round: 2 warm-start epochs of BPR-SGD
 /// over D' (xi = 1%, ceil per user) with V frozen, dim 32. range(0) picks the

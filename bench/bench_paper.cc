@@ -9,7 +9,8 @@
 /// (per-epoch series) are the two special cases. Table flags: --xi (table3),
 /// --rho (table4, table6, table7, table8, fig3) and --kappa (table5) replace
 /// the swept values; --z sets the defense table's detector threshold and
-/// --eval-every Fig. 3's evaluation cadence.
+/// --eval-every Fig. 3's evaluation cadence. A flag the chosen table does
+/// not read is an error: the run exits 2 and names it.
 
 #include <algorithm>
 #include <cstdio>
@@ -507,22 +508,45 @@ int Main(int argc, const char* const* argv) {
   const std::vector<TableSpec> tables = PaperTables();
   const std::string selected =
       flags.positional().size() == 1 ? flags.positional()[0] : "";
-  const BenchOptions options = ParseBenchOptions(flags);
-  const auto pool = MakePool(options);
-
-  if (selected == "table2") {
-    RunTable2(flags, options);
-    return 0;
-  }
-  if (selected == "fig3") {
-    RunFig3(flags, options, pool.get());
-    return 0;
-  }
+  const TableSpec* grid = nullptr;
   for (const TableSpec& table : tables) {
-    if (selected == table.name) {
-      RunGrid(table, flags, options, pool.get());
-      return 0;
+    if (selected == table.name) grid = &table;
+  }
+
+  if (grid != nullptr || selected == "table2" || selected == "fig3") {
+    // Every flag must be one the table reads: a mistyped sweep flag would
+    // otherwise reproduce the defaults without a word.
+    std::vector<std::string> known = kBenchOptionFlags;
+    if (selected == "fig3") {
+      known.insert(known.end(), {"rho", "eval-every"});
+    } else if (grid != nullptr) {
+      if (grid->flag != nullptr) known.push_back(grid->flag);
+      if (grid->screen_uploads) known.push_back("z");
     }
+    const std::vector<std::string> unknown = flags.UnknownFlags(known);
+    if (!unknown.empty()) {
+      std::string reads;
+      for (const std::string& name : known) {
+        reads += " --";
+        reads += name;
+      }
+      for (const std::string& name : unknown) {
+        std::fprintf(stderr, "bench_paper %s: unknown flag --%s\n",
+                     selected.c_str(), name.c_str());
+      }
+      std::fprintf(stderr, "%s reads:%s\n", selected.c_str(), reads.c_str());
+      return 2;
+    }
+    const BenchOptions options = ParseBenchOptions(flags);
+    const auto pool = MakePool(options);
+    if (selected == "table2") {
+      RunTable2(flags, options);
+    } else if (selected == "fig3") {
+      RunFig3(flags, options, pool.get());
+    } else {
+      RunGrid(*grid, flags, options, pool.get());
+    }
+    return 0;
   }
 
   std::string names = "table2";

@@ -43,6 +43,12 @@ FedRecAttack::FedRecAttack(FedRecAttackConfig config,
     FEDREC_CHECK_LT(public_items_.size(), std::size_t{0xFFFFFFFFu});
     public_offsets_.push_back(static_cast<std::uint32_t>(public_items_.size()));
   }
+  item_signature_.assign(num_benign, 0);
+  for (std::size_t u = 0; u < num_benign; ++u) {
+    for (std::uint32_t item : PublicItems(u)) {
+      item_signature_[u] |= SignatureBit(item);
+    }
+  }
   public_interactions_ = public_view_->AllInteractions();
   shuffled_.resize(public_interactions_.size());
   steps_.resize(2 * public_interactions_.size());
@@ -53,6 +59,10 @@ FedRecAttack::FedRecAttack(FedRecAttackConfig config,
 
 void FedRecAttack::ApproximateUsers(const Matrix& item_factors,
                                     std::size_t epochs, ThreadPool* pool) {
+  const std::size_t num_items = item_factors.rows();
+  // An epoch drawn ahead is this call's first only if this call draws one,
+  // over the catalogue it was drawn for.
+  if (epochs == 0 || num_items != drawn_items_) DiscardDrawnEpoch();
   // xi = 0 leaves nothing to learn from.
   if (public_items_.empty() || epochs == 0) return;
   // Eq. (19): argmin_U L_rec(U, V; D') with V frozen. A step for user u
@@ -60,13 +70,13 @@ void FedRecAttack::ApproximateUsers(const Matrix& item_factors,
   // known the users are independent: the pool applies them in blocks while
   // each user's own steps keep their draw order.
   FEDREC_CHECK_EQ(item_factors.cols(), u_hat_.cols());
-  const std::size_t num_items = item_factors.rows();
   const std::size_t num_users = u_hat_.rows();
   const std::size_t n = public_interactions_.size();
   // Epoch e's steps live in half e % 2 of steps_, so the draws of epoch
   // e + 1 can run beside the applies of epoch e: the draws touch only rng_
-  // and the other half.
-  DrawEpoch(num_items, steps_.data());
+  // and the other half. Epoch 0 may already be in half 0 (see DrawAhead).
+  if (drawn_items_ == 0) DrawEpoch(num_items, steps_.data());
+  drawn_items_ = 0;
   for (std::size_t e = 0; e < epochs; ++e) {
     const BprStep* drawn = steps_.data() + (e % 2) * n;
     BprStep* next = steps_.data() + ((e + 1) % 2) * n;
@@ -104,34 +114,46 @@ void FedRecAttack::DrawEpoch(std::size_t num_items, BprStep* steps) {
   for (const Interaction& tuple : shuffled_) {
     // Up to 64 draws for a negative outside the user's public positives;
     // the last draw stands when every one of them hit a positive.
-    const std::span<const std::uint32_t> positives = PublicItems(tuple.user);
+    // The user's signature rules most draws out without the search.
+    const std::uint64_t signature = item_signature_[tuple.user];
     std::uint32_t neg = 0;
     for (int attempt = 0; attempt < 64; ++attempt) {
       neg = static_cast<std::uint32_t>(rng_.NextBounded(num_items));
-      if (!SortedContains(positives, neg)) break;
+      if ((signature & SignatureBit(neg)) == 0 ||
+          !SortedContains(PublicItems(tuple.user), neg)) {
+        break;
+      }
     }
     steps[step_cursor_[tuple.user]++] = {tuple.item, neg};
   }
+}
+
+void FedRecAttack::DrawAhead(std::size_t num_items) {
+  drawn_from_ = rng_.Snapshot();
+  DrawEpoch(num_items, steps_.data());
+  drawn_items_ = num_items;
+}
+
+void FedRecAttack::DiscardDrawnEpoch() {
+  if (drawn_items_ == 0) return;
+  rng_.Restore(drawn_from_);
+  drawn_items_ = 0;
 }
 
 void FedRecAttack::ApplyUserSteps(const Matrix& item_factors,
                                   const BprStep* steps, std::size_t begin,
                                   std::size_t end) {
   const float lr = config_.approx_lr;
+  const std::size_t dim = u_hat_.cols();
   // fedrec:hot
   for (std::size_t u = begin; u < end; ++u) {
-    const std::span<float> user_row = u_hat_.Row(u);
+    float* user_row = u_hat_.Row(u).data();
     for (std::uint32_t k = public_offsets_[u]; k < public_offsets_[u + 1];
          ++k) {
       // TrainBprEpoch's user update: u <- u - lr * c * (v_pos - v_neg), with
       // c = dLoss/dx = -sigmoid(-x) at x = u.v_pos - u.v_neg.
-      const auto v_pos = item_factors.Row(steps[k].item);
-      const auto v_neg = item_factors.Row(steps[k].neg);
-      const double x = static_cast<double>(Dot(user_row, v_pos)) -
-                       static_cast<double>(Dot(user_row, v_neg));
-      const float c = static_cast<float>(-Sigmoid(-x));
-      Axpy(-lr * c, v_pos, user_row);
-      Axpy(lr * c, v_neg, user_row);
+      kernels::BprUserStep(user_row, item_factors.Row(steps[k].item).data(),
+                           item_factors.Row(steps[k].neg).data(), dim, lr);
     }
   }
 }
@@ -146,15 +168,47 @@ Matrix FedRecAttack::ComputePoisonGradient(const Matrix& item_factors,
 void FedRecAttack::ComputePoisonGradientInto(const Matrix& item_factors,
                                              ThreadPool* pool,
                                              Matrix& gradient) {
+  // This call draws the user sample, so an epoch drawn ahead of it would
+  // put the next epoch's draws first in the stream.
+  DiscardDrawnEpoch();
+  ResetGradient(item_factors, gradient);
+  // The row list now follows `gradient`, not last_gradient_.
+  round_rows_valid_ = false;
+  PoisonGradient(item_factors, pool, /*draw_ahead=*/false, gradient);
+}
+
+void FedRecAttack::ResetGradient(const Matrix& item_factors, Matrix& gradient) {
   const std::size_t num_items = item_factors.rows();
   const std::size_t dim = item_factors.cols();
-  const std::size_t num_users = u_hat_.rows();
-  FEDREC_CHECK_EQ(u_hat_.cols(), dim);
+  if (gradient_row_listed_.size() != num_items) {
+    gradient_rows_.resize(num_items);
+    gradient_row_listed_.assign(num_items, 0);
+    num_gradient_rows_ = 0;
+  } else {
+    ClearGradientRows(nullptr);
+  }
   if (gradient.rows() != num_items || gradient.cols() != dim) {
     gradient = Matrix(num_items, dim);
   } else {
     gradient.Fill(0.0f);
   }
+}
+
+void FedRecAttack::ClearGradientRows(Matrix* gradient) {
+  for (std::size_t r = 0; r < num_gradient_rows_; ++r) {
+    const std::uint32_t row = gradient_rows_[r];
+    if (gradient != nullptr) Fill(gradient->Row(row), 0.0f);
+    gradient_row_listed_[row] = 0;
+  }
+  num_gradient_rows_ = 0;
+}
+
+void FedRecAttack::PoisonGradient(const Matrix& item_factors, ThreadPool* pool,
+                                  bool draw_ahead, Matrix& gradient) {
+  const std::size_t num_items = item_factors.rows();
+  const std::size_t dim = item_factors.cols();
+  const std::size_t num_users = u_hat_.rows();
+  FEDREC_CHECK_EQ(u_hat_.cols(), dim);
 
   // Ablation semantics: with no public knowledge at all the attacker cannot
   // rationally approximate U, so no poisoned gradient can be formed (the
@@ -189,8 +243,7 @@ void FedRecAttack::ComputePoisonGradientInto(const Matrix& item_factors,
 
   // Scratch is sized on first use (and on a shape change) and reused.
   items_packed_.resize(kernels::PackedItemsSize(num_items, dim));
-  kernels::PackItems(item_factors.Data().data(), num_items, dim,
-                     items_packed_.data());
+  PackItems(item_factors, pool);
   boundary_.resize(num_step_users);
   weights_.resize(num_step_users * sorted_targets_.size());
   if (num_chunks > 1 &&
@@ -212,20 +265,59 @@ void FedRecAttack::ComputePoisonGradientInto(const Matrix& item_factors,
 
   // Phase 1, parallel: one pool chunk per tile writes its users' boundary
   // items and g'(s) weights. Fine-grained chunks let idle threads pick up a
-  // late thread's share.
-  auto score_tile = [this, num_items, dim](std::size_t tile) {
-    ScoreTile(tile, num_items, dim);
+  // late thread's share. With draw_ahead, chunk 0 draws the next call's
+  // first Eq. 19 epoch instead: it touches only rng_ and the draw scratch.
+  const std::size_t first_tile = draw_ahead ? 1 : 0;
+  auto phase1 = [this, first_tile, num_items, dim](std::size_t t) {
+    if (t < first_tile) {
+      DrawAhead(num_items);
+    } else {
+      ScoreTile(t - first_tile, num_items, dim);
+    }
   };
   if (pool != nullptr) {
-    pool->ParallelFor(0, tiles_.size(), /*grain=*/1, score_tile);
+    pool->ParallelFor(0, tiles_.size() + first_tile, /*grain=*/1, phase1);
   } else {
-    for (std::size_t tile = 0; tile < tiles_.size(); ++tile) score_tile(tile);
+    for (std::size_t t = 0; t < tiles_.size() + first_tile; ++t) phase1(t);
   }
 
   // Phase 2, serial: accumulate the weighted user rows chunk by chunk.
   AccumulatePoisonGradient(num_chunks, gradient);
-  if (scale != 1.0) {
-    Scale(static_cast<float>(scale), gradient.Data());
+  if (scale == 1.0) return;
+  const float alpha = static_cast<float>(scale);
+  if (alpha > 0.0f) {
+    // Every other row is +0.0, which a positive factor keeps.
+    for (std::size_t r = 0; r < num_gradient_rows_; ++r) {
+      Scale(alpha, gradient.Row(gradient_rows_[r]));
+    }
+  } else {
+    // A factor <= 0 turns +0.0 into -0.0 (or NaN): scale every row, as the
+    // row list no longer covers the rows that are not +0.0.
+    Scale(alpha, gradient.Data());
+    round_rows_valid_ = false;
+  }
+}
+
+void FedRecAttack::PackItems(const Matrix& item_factors, ThreadPool* pool) {
+  const std::size_t num_items = item_factors.rows();
+  const std::size_t dim = item_factors.cols();
+  const std::size_t groups =
+      (num_items + kernels::kScoreLanes - 1) / kernels::kScoreLanes;
+  const std::size_t slices =
+      pool != nullptr ? std::min(groups, pool->thread_count()) : 1;
+  // A slice of whole lane groups packs on its own: group g's panel depends
+  // only on items [8g, 8g + 8).
+  auto pack = [&](std::size_t slice) {
+    const std::size_t first = slice * groups / slices * kernels::kScoreLanes;
+    const std::size_t last = std::min(
+        num_items, (slice + 1) * groups / slices * kernels::kScoreLanes);
+    kernels::PackItems(item_factors.Data().data() + first * dim, last - first,
+                       dim, items_packed_.data() + first * dim);
+  };
+  if (slices > 1) {
+    pool->ParallelFor(0, slices, /*grain=*/1, pack);
+  } else if (slices == 1) {
+    pack(0);
   }
 }
 
@@ -296,6 +388,10 @@ void FedRecAttack::AccumulatePoisonGradient(std::size_t num_chunks,
     Matrix& sum = chunk == 0 ? gradient : chunk_sum_;
     std::size_t num_touched = 0;
     auto touch = [&](std::uint32_t row) {
+      if (gradient_row_listed_[row] == 0) {
+        gradient_row_listed_[row] = 1;
+        gradient_rows_[num_gradient_rows_++] = row;
+      }
       if (chunk == 0 || row_touched_[row] != 0) return;
       row_touched_[row] = 1;
       touched_rows_[num_touched++] = row;
@@ -340,8 +436,26 @@ std::vector<ClientUpdate> FedRecAttack::ProduceUpdates(
   ApproximateUsers(item_factors, epochs, context.pool);
   users_initialized_ = true;
 
-  // Step 2: the round's poisoned gradient (Eq. 20).
-  ComputePoisonGradientInto(item_factors, context.pool, last_gradient_);
+  // Step 2: the round's poisoned gradient (Eq. 20). When the round samples
+  // no new item set (Eq. 22), nothing else draws from rng_ before the next
+  // call's first Eq. 19 epoch, so that epoch is drawn now, beside the
+  // scoring.
+  bool new_item_set = false;
+  for (std::uint32_t id : selected_malicious) {
+    const std::size_t slot = id - context.num_benign_users;
+    new_item_set |= slot >= item_set_ready_.size() || !item_set_ready_[slot];
+  }
+  if (round_rows_valid_ && last_gradient_.rows() == num_items &&
+      last_gradient_.cols() == dim) {
+    ClearGradientRows(&last_gradient_);
+  } else {
+    ResetGradient(item_factors, last_gradient_);
+    round_rows_valid_ = true;
+  }
+  PoisonGradient(item_factors, context.pool,
+                 /*draw_ahead=*/!new_item_set &&
+                     config_.approx_epochs_round > 0,
+                 last_gradient_);
 
   // Steps 3-12: distribute across the selected malicious clients.
   std::vector<ClientUpdate> updates;

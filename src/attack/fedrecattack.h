@@ -19,10 +19,18 @@
 ///     and the shared item matrix V by minimizing L_rec(U, V; D') with V
 ///     frozen (Eq. 19). Each BPR-SGD epoch is a serial pass that draws the
 ///     epoch's shuffle and negatives, then a pass on the round's pool that
-///     applies every user's steps in draw order. Both run in one ParallelFor
-///     per epoch: its first chunk draws the next epoch while the others
-///     apply this one. A step touches only its user's row of U-hat, so
-///     the result is the serial epoch's, bit for bit, at every pool size;
+///     applies every user's steps in draw order, one fused BPR step each.
+///     Both run in one ParallelFor per epoch: its first chunk draws the next
+///     epoch while the others apply this one. A step touches only its user's
+///     row of U-hat, so the result is the serial epoch's, bit for bit, at
+///     every pool size. A call's first epoch is usually drawn by the call
+///     before it: when a round samples no new item set (step 3), nothing
+///     else draws from the attack's stream before the next call's first
+///     epoch, so that epoch is drawn as the first chunk of step 2's scoring
+///     ParallelFor, after step 2's user sample. The stream is saved before
+///     that draw, and the epoch is undone (the stream restored) when anything
+///     else would draw first, such as a direct ComputePoisonGradientInto, or
+///     when the next call sees another catalogue size or draws no epoch;
 ///  2. form the poisoned gradient nabla~V = zeta * dL_atk/dV (Eq. 20), where
 ///     L_atk (Eq. 15-16) pushes every target item's score just above the
 ///     user's current top-K boundary through g(x) of Eq. (14);
@@ -124,6 +132,19 @@ class FedRecAttack : public MaliciousCoordinator {
   /// steps to its CSR range of `steps` in draw order.
   void DrawEpoch(std::size_t num_items, BprStep* steps);
 
+  /// Draws the next ApproximateUsers call's first epoch into half 0 of
+  /// steps_, after saving rng_ so that DiscardDrawnEpoch can undo it.
+  void DrawAhead(std::size_t num_items);
+
+  /// Undoes an epoch drawn ahead, if any: rng_ goes back to where it was
+  /// before the draws. Called before any other draw from rng_.
+  void DiscardDrawnEpoch();
+
+  /// Bit of `item` in a user's item signature.
+  static std::uint64_t SignatureBit(std::uint32_t item) {
+    return std::uint64_t{1} << (item & 63u);
+  }
+
   /// The parallel half: applies the `steps` of users [begin, end) to their
   /// U-hat rows.
   void ApplyUserSteps(const Matrix& item_factors, const BprStep* steps,
@@ -135,12 +156,27 @@ class FedRecAttack : public MaliciousCoordinator {
             public_items_.data() + public_offsets_[user + 1]};
   }
 
+  /// Zeroes `gradient`, reshaped to V's, and empties the row list.
+  void ResetGradient(const Matrix& item_factors, Matrix& gradient);
+
+  /// Empties the row list; with a `gradient`, zeroes its listed rows first.
+  void ClearGradientRows(Matrix* gradient);
+
+  /// Eq. 20 into the zeroed `gradient`: ComputePoisonGradientInto's two
+  /// phases. With `draw_ahead`, phase 1 also runs DrawAhead as its chunk 0.
+  void PoisonGradient(const Matrix& item_factors, ThreadPool* pool,
+                      bool draw_ahead, Matrix& gradient);
+
+  /// Packs V into items_packed_, one slice of whole lane groups per pool
+  /// thread.
+  void PackItems(const Matrix& item_factors, ThreadPool* pool);
+
   /// Phase 1 for tiles_[tile]: scores its users against the packed
   /// catalogue, then writes their boundary_ items and weights_.
   void ScoreTile(std::size_t tile, std::size_t num_items, std::size_t dim);
 
   /// Phase 2: sums +-w * u_hat rows into `gradient` (zeroed on entry), chunk
-  /// by chunk in order.
+  /// by chunk in order, and lists every row it writes.
   void AccumulatePoisonGradient(std::size_t num_chunks, Matrix& gradient);
 
   FedRecAttackConfig config_;
@@ -163,6 +199,13 @@ class FedRecAttack : public MaliciousCoordinator {
   std::vector<BprStep> steps_;
   /// DrawEpoch's next free step slot per user.
   std::vector<std::uint32_t> step_cursor_;
+  /// Per user: the OR of SignatureBit over its public items. A draw whose
+  /// bit is clear is no public positive, without a search.
+  std::vector<std::uint64_t> item_signature_;
+  /// Catalogue size of the epoch drawn ahead into steps_; 0 when none is.
+  std::size_t drawn_items_ = 0;
+  /// rng_ before the epoch drawn ahead.
+  RngSnapshot drawn_from_;
   /// Fixed item set V_i per malicious user id (keyed by id - num_benign).
   std::vector<std::vector<std::uint32_t>> item_sets_;
   std::vector<bool> item_set_ready_;
@@ -183,6 +226,14 @@ class FedRecAttack : public MaliciousCoordinator {
   Matrix chunk_sum_;
   std::vector<std::uint32_t> touched_rows_;
   std::vector<std::uint8_t> row_touched_;
+  /// The rows the latest accumulation wrote, in [0, num_gradient_rows_),
+  /// and a flag per row for whether it is listed. Sized once per catalogue.
+  std::vector<std::uint32_t> gradient_rows_;
+  std::vector<std::uint8_t> gradient_row_listed_;
+  std::size_t num_gradient_rows_ = 0;
+  /// True when every row of last_gradient_ outside the list is +0.0, so
+  /// the next round need zero only the listed rows.
+  bool round_rows_valid_ = false;
 };
 
 }  // namespace fedrec

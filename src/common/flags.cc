@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/string_util.h"
 
@@ -35,6 +37,17 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
 
 bool FlagParser::Has(const std::string& name) const {
   return values_.count(name) > 0;
+}
+
+std::vector<std::string> FlagParser::UnknownFlags(
+    const std::vector<std::string>& known) const {
+  std::vector<std::string> unknown;
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      unknown.push_back(name);
+    }
+  }
+  return unknown;
 }
 
 std::string FlagParser::GetString(const std::string& name,

@@ -42,6 +42,12 @@ class FlagParser {
   std::vector<double> GetDoubleList(const std::string& name,
                                     const std::vector<double>& fallback) const;
 
+  /// The parsed flags whose names are not in `known`, in name order: a
+  /// program that lists the flags it reads can reject a mistyped one
+  /// before it runs instead of silently using the defaults.
+  std::vector<std::string> UnknownFlags(
+      const std::vector<std::string>& known) const;
+
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/math.h"
 
 namespace fedrec {
 namespace kernels {
@@ -95,8 +96,12 @@ void ScalarScoreBlock(const float* users, std::size_t num_users,
   }
 }
 
-FEDREC_KERNEL_CLONES
-float Dot(const float* a, const float* b, std::size_t n) {
+namespace {
+
+/// Dot's body, shared with BprUserStep so the two run the same expressions.
+inline __attribute__((always_inline)) float DotInline(const float* a,
+                                                      const float* b,
+                                                      std::size_t n) {
   if (n >= 8) {
 #if FEDREC_KERNELS_VECTOR
     Vec8 acc0 = Broadcast(0.0f);
@@ -134,6 +139,13 @@ float Dot(const float* a, const float* b, std::size_t n) {
   return ScalarDot(a, b, n);
 }
 
+}  // namespace
+
+FEDREC_KERNEL_CLONES
+float Dot(const float* a, const float* b, std::size_t n) {
+  return DotInline(a, b, n);
+}
+
 FEDREC_KERNEL_CLONES
 void Axpy(float alpha, const float* x, float* y, std::size_t n) {
   std::size_t i = 0;
@@ -143,6 +155,32 @@ void Axpy(float alpha, const float* x, float* y, std::size_t n) {
   }
 #endif
   for (; i < n; ++i) y[i] += alpha * x[i];
+}
+
+FEDREC_KERNEL_CLONES
+void BprUserStep(float* user, const float* pos, const float* neg,
+                 std::size_t n, float lr) {
+  // The original four calls, in order: two dots of the untouched row, then
+  // two AXPYs. An element's two updates are independent of every other
+  // element, so one pass that applies both in Axpy's expression form is
+  // the two passes, bit for bit.
+  const double x = static_cast<double>(DotInline(user, pos, n)) -
+                   static_cast<double>(DotInline(user, neg, n));
+  const float c = static_cast<float>(-Sigmoid(-x));
+  const float pos_alpha = -lr * c;
+  const float neg_alpha = lr * c;
+  std::size_t i = 0;
+#if FEDREC_KERNELS_VECTOR
+  for (; i + 8 <= n; i += 8) {
+    Vec8 y = LoadU(user + i) + pos_alpha * LoadU(pos + i);
+    y = y + neg_alpha * LoadU(neg + i);
+    StoreU(user + i, y);
+  }
+#endif
+  for (; i < n; ++i) {
+    user[i] += pos_alpha * pos[i];
+    user[i] += neg_alpha * neg[i];
+  }
 }
 
 FEDREC_KERNEL_CLONES
@@ -415,6 +453,34 @@ void ScoreBlockPacked(const float* users, std::size_t num_users,
       StoreLanes(o, j0, acc, valid);
 #endif
     }
+  }
+}
+
+namespace {
+
+inline float Max(float a, float b) { return a < b ? b : a; }
+
+}  // namespace
+
+FEDREC_KERNEL_CLONES
+void BlockMaxima(const float* x, std::size_t n, float* out) {
+  std::size_t b = 0;
+#if FEDREC_KERNELS_VECTOR
+  static_assert(kMaxBlock == 16, "the vector path folds two lane groups");
+  for (; (b + 1) * kMaxBlock <= n; ++b) {
+    const float* p = x + b * kMaxBlock;
+    const Vec8 lo = LoadU(p);
+    const Vec8 hi = LoadU(p + 8);
+    const Vec8 m = lo < hi ? hi : lo;
+    out[b] = Max(Max(Max(m[0], m[4]), Max(m[1], m[5])),
+                 Max(Max(m[2], m[6]), Max(m[3], m[7])));
+  }
+#endif
+  for (; b * kMaxBlock < n; ++b) {
+    const std::size_t end = std::min(n, (b + 1) * kMaxBlock);
+    float m = x[b * kMaxBlock];
+    for (std::size_t i = b * kMaxBlock + 1; i < end; ++i) m = Max(m, x[i]);
+    out[b] = m;
   }
 }
 

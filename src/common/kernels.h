@@ -62,6 +62,16 @@ float Dot(const float* a, const float* b, std::size_t n);
 /// y += alpha * x over n floats. x and y must not alias.
 void Axpy(float alpha, const float* x, float* y, std::size_t n);
 
+/// One BPR-SGD step on a user row against frozen item rows (Eq. 19's
+/// update): x = <user, pos> - <user, neg> with both dots widened to double,
+/// c = -sigmoid(-x), then user += (-lr * c) * pos and user += (lr * c) * neg.
+/// The bits equal those of Dot, Dot, Axpy, Axpy called in that order: the
+/// step runs their expressions in their per-element order, in one call
+/// instead of four, so each contracts into an FMA exactly where theirs do
+/// (the x86-64-v3 clones). `user` must not alias `pos` or `neg`.
+void BprUserStep(float* user, const float* pos, const float* neg,
+                 std::size_t n, float lr);
+
 /// x *= alpha over n floats.
 void Scale(float alpha, float* x, std::size_t n);
 
@@ -107,6 +117,14 @@ void PackItems(const float* items, std::size_t num_items, std::size_t dim,
 void ScoreBlockPacked(const float* users, std::size_t num_users,
                       const float* items_packed, std::size_t num_items,
                       std::size_t dim, float* out, std::size_t out_stride);
+
+/// Number of consecutive floats per block of BlockMaxima.
+inline constexpr std::size_t kMaxBlock = 16;
+
+/// out[b] = the largest of x[b * kMaxBlock, min(n, (b + 1) * kMaxBlock)) for
+/// each of the ceil(n / kMaxBlock) blocks. NaN-free input only; a block
+/// whose largest value is a zero may report either sign of it.
+void BlockMaxima(const float* x, std::size_t n, float* out);
 
 /// Sorts every column of a row-major n x dim tile ascending, in place: after
 /// the call, tile[i * dim + d] is the i-th smallest of column d. The network

@@ -23,10 +23,15 @@ namespace fedrec {
 /// `scores` are allowed and ignored. Every score must be finite (checked in
 /// debug builds): NaN has no place in a strict weak order.
 ///
-/// One ascending scan: after the first `k` candidates fill a best-first
-/// array, an item enters only if its score is strictly above the current
-/// K-th score. An equal score therefore loses to the earlier index, and the
-/// exclusion list is consulted only for the few items that pass that screen.
+/// Selection by threshold: one SIMD pass takes the maximum of every block
+/// of 16 scores. The K-th largest of the blocks' maxima over their
+/// non-excluded items is a lower bound on the K-th score, since K distinct
+/// blocks each hold an item at least that high; the exclusion list is read
+/// only for the few blocks that could set it. Every non-excluded item at or
+/// above the bound, from the blocks whose maximum reaches it, is a
+/// candidate, and sorting those few by (score desc, index asc), a strict
+/// total order, gives the one list an ascending scan with ties kept by the
+/// earlier index would.
 void TopKIndicesExcludingSortedInto(
     std::span<const float> scores, std::size_t k,
     std::span<const std::uint32_t> sorted_excluded,

@@ -753,6 +753,141 @@ TEST(FedRecAttackTest, ApproximationBitIdenticalAcrossPoolSwitches) {
   }
 }
 
+/// 64-bit FNV-1a over the bytes of everything mixed in.
+struct Fnv1a {
+  void Mix(const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      hash ^= p[i];
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  void Mix(std::uint64_t value) { Mix(&value, sizeof(value)); }
+  void Mix(const Matrix& m) {
+    Mix(m.rows());
+    Mix(m.cols());
+    Mix(m.Data().data(), m.size() * sizeof(float));
+  }
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+};
+
+/// Drives one attack through 44 rounds of a seeded schedule on `pool` and
+/// digests every upload, U-hat and the poisoned gradient after each
+/// ProduceUpdates call. A round draws 0-3 of the malicious clients (0: the
+/// round has none and the attack is not called); clients 4 and 5 join at
+/// round 20, so new Eq. 22 item sets appear mid-run. The uploads are
+/// applied to V and V drifts between rounds. Round 30 also calls
+/// ComputePoisonGradientInto directly, and from round 38 on V has 7 more
+/// items.
+std::uint64_t ProduceUpdatesDigest(FedRecAttackConfig config,
+                                   ThreadPool* pool) {
+  AttackTestSetup setup = MakeSetup(0.3, 300, /*users=*/70, /*items=*/90);
+  const std::size_t num_users = setup.data.num_users();
+  FedRecAttack attack(std::move(config), &setup.view, num_users,
+                      setup.fed.model.dim);
+  MfModel grown;
+  RoundContext context = MakeContext(setup);
+  context.pool = pool;
+  Rng round_rng(301);
+  Matrix probe;
+  Fnv1a digest;
+  for (int round = 0; round < 44; ++round) {
+    if (round == 38) {
+      // The catalogue grows by 7 items with fresh rows.
+      Rng grow_rng(302);
+      grown = MfModel(setup.model.num_items() + 7, setup.fed.model, grow_rng);
+      const Matrix& old_items = setup.model.item_factors();
+      for (std::size_t j = 0; j < old_items.rows(); ++j) {
+        const auto src = old_items.Row(j);
+        std::copy(src.begin(), src.end(), grown.item_factors().Row(j).begin());
+      }
+      context.model = &grown;
+    }
+    Matrix& items = round >= 38 ? grown.item_factors()
+                                : setup.model.item_factors();
+    const std::size_t clients = round < 20 ? 4 : 6;
+    const std::size_t drawn = round_rng.NextBounded(4);
+    if (drawn > 0) {
+      std::vector<std::uint32_t> ids;
+      for (std::size_t slot : round_rng.SampleWithoutReplacement(clients, drawn)) {
+        ids.push_back(static_cast<std::uint32_t>(num_users + slot));
+      }
+      std::sort(ids.begin(), ids.end());
+      const std::vector<ClientUpdate> updates =
+          attack.ProduceUpdates(context, ids);
+      for (const ClientUpdate& update : updates) {
+        digest.Mix(update.user);
+        const SparseRowMatrix& rows = update.item_gradients;
+        for (std::size_t slot = 0; slot < rows.row_count(); ++slot) {
+          digest.Mix(rows.row_ids()[slot]);
+          const auto row = rows.RowAtSlot(slot);
+          digest.Mix(row.data(), row.size() * sizeof(float));
+        }
+        rows.AddTo(items, -0.5f);
+      }
+      digest.Mix(attack.approximated_users());
+      digest.Mix(attack.last_poison_gradient());
+    }
+    if (round == 30) {
+      attack.ComputePoisonGradientInto(items, pool, probe);
+      digest.Mix(probe);
+    }
+    for (float& v : items.Data()) {
+      v += static_cast<float>(round_rng.NextGaussian(0.0, 0.02));
+    }
+  }
+  return digest.hash;
+}
+
+/// True when the dispatched kernels fuse a * b + c into one FMA, as the
+/// x86-64-v3 clones do: 1 + 2^-12 squared needs 25 bits, so only a fused
+/// Axpy keeps its last bit.
+bool KernelsFuseMultiplyAdd() {
+  const float a = 1.0f + 0x1p-12f;
+  float y = -(1.0f + 0x1p-11f);
+  kernels::Axpy(a, &a, &y, 1);
+  return y != 0.0f;
+}
+
+TEST(FedRecAttackTest, ProduceUpdatesMatchFrozenDigests) {
+  // Digests recorded before Eq. 19's draws moved off the critical path;
+  // any change means the attack's trajectory changed. Three configurations:
+  // a subsampled Eq. 20 with 2 warm-start epochs, every user with 1, and
+  // no warm-start epochs at all. The gradient's bits depend on the pool's
+  // thread count (none and 1 agree), so each pool size has its own digest,
+  // and on whether the kernels fuse multiply-adds (the x86-64-v3 clones of
+  // a Release build) or not (sanitized builds, older hosts).
+  FedRecAttackConfig subsampled = MakeAttackConfig({4, 17});
+  subsampled.users_per_step = 23;
+  FedRecAttackConfig every_user = MakeAttackConfig({4, 17, 60});
+  every_user.approx_epochs_round = 1;
+  FedRecAttackConfig no_warm_start = MakeAttackConfig({8});
+  no_warm_start.users_per_step = 31;
+  no_warm_start.approx_epochs_round = 0;
+  // Per kPoolSizes entry: {fused, unfused}.
+  constexpr std::uint64_t kDigests[][2] = {
+      {0x627526cc5daa06ccULL, 0x8df1b9b656974ba4ULL},
+      {0x627526cc5daa06ccULL, 0x8df1b9b656974ba4ULL},
+      {0x039f744251e72539ULL, 0x0314c170e1c48c34ULL},
+      {0x86d0b4c39d827959ULL, 0xbeaa40c20c8091d7ULL},
+      {0x4c8174182315a4e2ULL, 0x5e5692d15b416e8fULL},
+      {0xd3e3ed238a85ac9bULL, 0x65a4d4ef75380103ULL},
+  };
+  static_assert(std::size(kDigests) == std::size(kPoolSizes));
+  const int column = KernelsFuseMultiplyAdd() ? 0 : 1;
+  const Pools pools;
+  for (std::size_t p = 0; p < std::size(kPoolSizes); ++p) {
+    Fnv1a digest;
+    for (const FedRecAttackConfig& config :
+         {subsampled, every_user, no_warm_start}) {
+      digest.Mix(ProduceUpdatesDigest(config, pools.Get(kPoolSizes[p])));
+    }
+    EXPECT_EQ(digest.hash, kDigests[p][column])
+        << "threads=" << kPoolSizes[p] << std::hex << " digest=0x"
+        << digest.hash;
+  }
+}
+
 TEST(FedRecAttackTest, RequiresTargets) {
   AttackTestSetup setup = MakeSetup(0.3, 100);
   FedRecAttackConfig config = MakeAttackConfig({});

@@ -88,5 +88,13 @@ TEST(FlagParserTest, NegativeValueViaEquals) {
   EXPECT_EQ(p.GetInt("delta", 0), -3);
 }
 
+TEST(FlagParserTest, UnknownFlagsNamesEveryFlagOutsideTheList) {
+  const auto p = Parse({"table9", "--kapa=5", "--scale", "0.1", "--bogus"});
+  EXPECT_EQ(p.UnknownFlags({"scale", "kappa"}),
+            (std::vector<std::string>{"bogus", "kapa"}));
+  EXPECT_TRUE(p.UnknownFlags({"bogus", "kapa", "scale"}).empty());
+  EXPECT_TRUE(Parse({"table9"}).UnknownFlags({}).empty());
+}
+
 }  // namespace
 }  // namespace fedrec

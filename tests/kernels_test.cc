@@ -1,11 +1,15 @@
 #include "common/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/math.h"
 #include "common/rng.h"
 
 namespace fedrec {
@@ -75,6 +79,55 @@ TEST(KernelsTest, AxpyMatchesScalarReference) {
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(actual[i], expected[i], 1e-6f) << "n=" << n << " i=" << i;
     }
+  }
+}
+
+TEST(KernelsTest, BprUserStepEqualsDotDotAxpyAxpyBitwise) {
+  // The fused step against the four calls it replaces, compared as bits.
+  // Scales from 0.01 to 3 move x from the sigmoid's middle to its tails;
+  // the last trial per dim reuses one item row as both positive and
+  // negative.
+  Rng rng(12);
+  for (const std::size_t dim : {1u, 7u, 8u, 31u, 32u, 33u, 64u}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const double scale = trial % 4 == 0 ? 3.0 : 0.01 * (1 + trial % 7);
+      std::vector<float> user(dim), pos(dim), neg(dim);
+      for (float& v : user) v = static_cast<float>(rng.NextGaussian(0, scale));
+      for (float& v : pos) v = static_cast<float>(rng.NextGaussian(0, scale));
+      for (float& v : neg) v = static_cast<float>(rng.NextGaussian(0, scale));
+      if (trial == 39) neg = pos;
+      const float lr = trial % 2 == 0 ? 0.05f : 0.3f;
+      std::vector<float> expected = user;
+      const double x =
+          static_cast<double>(kernels::Dot(user.data(), pos.data(), dim)) -
+          static_cast<double>(kernels::Dot(user.data(), neg.data(), dim));
+      const float c = static_cast<float>(-Sigmoid(-x));
+      kernels::Axpy(-lr * c, pos.data(), expected.data(), dim);
+      kernels::Axpy(lr * c, neg.data(), expected.data(), dim);
+      kernels::BprUserStep(user.data(), pos.data(), neg.data(), dim, lr);
+      ASSERT_EQ(std::memcmp(user.data(), expected.data(), dim * sizeof(float)),
+                0)
+          << "dim=" << dim << " trial=" << trial;
+    }
+  }
+}
+
+TEST(KernelsTest, BlockMaximaMatchesScalarMax) {
+  Rng rng(13);
+  for (std::size_t n : kLengths) {
+    const std::vector<float> x = RandomVector(n, rng);
+    const std::size_t blocks = (n + kernels::kMaxBlock - 1) / kernels::kMaxBlock;
+    std::vector<float> out(blocks + 1, std::numeric_limits<float>::quiet_NaN());
+    kernels::BlockMaxima(x.data(), n, out.data());
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const auto first = x.begin() + static_cast<std::ptrdiff_t>(
+                                         b * kernels::kMaxBlock);
+      const auto last = x.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                        n, (b + 1) * kernels::kMaxBlock));
+      EXPECT_EQ(out[b], *std::max_element(first, last))
+          << "n=" << n << " b=" << b;
+    }
+    EXPECT_TRUE(std::isnan(out[blocks])) << "wrote past block " << blocks;
   }
 }
 

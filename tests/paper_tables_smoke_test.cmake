@@ -2,7 +2,8 @@
 # table spec that stops running fails here in every preset. The table list
 # comes from bench_paper itself, which prints it when run without a table.
 # Also checks that column labels follow the swept values (default and
-# overridden) and that Fig. 3's one CSV holds every dataset's rows. Run by
+# overridden), that Fig. 3's one CSV holds every dataset's rows and that a
+# flag the table does not read is rejected. Run by
 # the `paper_tables_smoke` suite registered in tests/CMakeLists.txt:
 #   cmake -DBENCH=<bench_paper> -DOUT_DIR=<dir> -P this_file
 
@@ -85,6 +86,20 @@ list(FILTER lines INCLUDE REGEX "^(ER@5|ER@10|NDCG@10),[^,]+,[^,]+$")
 list(LENGTH lines metric_rows)
 if(NOT metric_rows EQUAL 3)
   message(FATAL_ERROR "table4 --rho=0.005,0.03 must give 3 two-cell metric rows")
+endif()
+
+# A flag the table does not read stops the run before it starts: exit 2,
+# naming each such flag, and no CSV.
+set(bogus_csv ${OUT_DIR}/table9_unknown_flags.csv)
+execute_process(
+  COMMAND ${BENCH} table9 --kapa=5 --bogus=1 --scale=0.05 --csv=${bogus_csv}
+  RESULT_VARIABLE exit_code
+  OUTPUT_VARIABLE output
+  ERROR_VARIABLE output)
+if(NOT exit_code EQUAL 2 OR NOT output MATCHES "unknown flag --kapa" OR
+   NOT output MATCHES "unknown flag --bogus" OR EXISTS ${bogus_csv})
+  message(FATAL_ERROR "bench_paper table9 --kapa=5 --bogus=1 must exit 2 "
+    "naming both flags before it runs; it exited ${exit_code}:\n${output}")
 endif()
 
 message(STATUS "all ${table_count} bench_paper tables ran: ${tables}")

@@ -241,5 +241,90 @@ TEST(TopKCounterexampleSearch, ScreenedScanMatchesHeapOracle) {
   EXPECT_GT(tied_trials, 1000u);
 }
 
+/// Reference for the threshold selection: the non-excluded indices in
+/// ascending order, stable-sorted by score descending (so ties keep the
+/// smaller index first), cut to k.
+std::vector<std::uint32_t> StableSortTopK(
+    std::span<const float> scores, std::size_t k,
+    std::span<const std::uint32_t> sorted_excluded) {
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t i = 0; i < scores.size(); ++i) {
+    if (!std::binary_search(sorted_excluded.begin(), sorted_excluded.end(),
+                            i)) {
+      order.push_back(i);
+    }
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&scores](std::uint32_t a, std::uint32_t b) {
+                     return scores[a] > scores[b];
+                   });
+  if (order.size() > k) order.resize(k);
+  return order;
+}
+
+TEST(TopKTest, ThresholdSelectionMatchesStableSortOracle) {
+  // Catalogues up to 40 blocks of 16 items, most not a whole number of
+  // blocks; tied or continuous scores; exclusions that remove each block's
+  // maximum, the unexcluded top-K, every item, or a random subset.
+  Rng rng(4242);
+  std::vector<std::uint32_t> out;
+  std::size_t cases = 0;
+  std::size_t block_max_cases = 0;
+  std::size_t all_excluded_cases = 0;
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t n = round % 10 == 0
+                              ? 16 * rng.NextBounded(41)
+                              : static_cast<std::size_t>(rng.NextBounded(641));
+    std::vector<float> scores;
+    if (round % 2 == 0) {
+      scores = QuantizedScores(rng, n);
+    } else {
+      scores.resize(n);
+      for (float& s : scores) s = static_cast<float>(rng.NextGaussian(0, 1));
+    }
+    const std::size_t ks[] = {1, 1 + rng.NextBounded(50), n, n + 5};
+    for (std::size_t k : ks) {
+      std::vector<std::uint32_t> excluded;
+      switch (rng.NextBounded(5)) {
+        case 0:
+          break;
+        case 1:  // the first maximum of most blocks
+          for (std::size_t b = 0; b * 16 < n; ++b) {
+            if (rng.NextBounded(4) == 0) continue;
+            const auto first = scores.begin() + static_cast<std::ptrdiff_t>(b * 16);
+            const auto last = scores.begin() + static_cast<std::ptrdiff_t>(
+                                                   std::min(n, b * 16 + 16));
+            excluded.push_back(static_cast<std::uint32_t>(
+                std::max_element(first, last) - scores.begin()));
+          }
+          ++block_max_cases;
+          break;
+        case 2:  // the top-K itself
+          excluded = StableSortTopK(scores, k, {});
+          std::sort(excluded.begin(), excluded.end());
+          break;
+        case 3:  // every item, plus one past the end
+          for (std::uint32_t i = 0; i <= n; ++i) excluded.push_back(i);
+          ++all_excluded_cases;
+          break;
+        default:  // a random fifth, with duplicates
+          for (std::uint32_t i = 0; i < n; ++i) {
+            if (rng.NextBounded(5) == 0) excluded.push_back(i);
+            if (rng.NextBounded(40) == 0) excluded.push_back(i);
+          }
+          break;
+      }
+      TopKIndicesExcludingSortedInto(scores, k, excluded, out);
+      ASSERT_EQ(out, StableSortTopK(scores, k, excluded))
+          << "round " << round << " n=" << n << " k=" << k
+          << " excluded=" << excluded.size();
+      ++cases;
+    }
+  }
+  EXPECT_GE(cases, 1000u);
+  EXPECT_GT(block_max_cases, 100u);
+  EXPECT_GT(all_excluded_cases, 100u);
+}
+
 }  // namespace
 }  // namespace fedrec
